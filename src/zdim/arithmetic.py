@@ -1,23 +1,47 @@
-"""Floor scaling, sumsets, the star product, and asymptotic interleaving.
+"""Floor scaling, sumsets, the grid histogram engine, the star product,
+and asymptotic interleaving.
 
 The scaling parameter is always an exact rational: floor(lambda * n) is
 computed as p*n // q, never through floating point, so every identity
 downstream (window measures, double counting) stays exact.
+
+One engine, ``grid_histogram(E, F, lam)``, computes the histogram of the
+grid ``a + floor(lam*b)`` over ``E x F``: the distinct values in
+increasing order and the number of grid points on each.  ``sumset`` and
+``sum_scaled`` are its values; ``marstrand.collision_stats`` and
+``marstrand.sweep`` read its counts.  The route is chosen from the input
+alone, and the two array routes keep their working memory within one
+byte budget, ``_BYTE_BUDGET``:
+
+- dense accumulation, when the value span is at most the number of
+  pairs and its counters fit the budget: for each element of the shorter
+  of E and the distinct floors of lam*F, the longer one is added by fancy
+  index into the counters (both are duplicate-free, so no index repeats
+  within one add);
+- sorted outer sum: outer sums sorted and counted run by run, in chunks
+  of the budget that a stable sort merges when the grid is larger;
+- object dtype, with Python ints, when E or lam*F leaves int64.
+
+Two proven bounds keep the integer types exact.  Every count is at most
+|F|, because for a fixed b the value fixes a; counts are stored in the
+smallest unsigned dtype holding |F|.  The energy, the sum of the squared
+counts, is at most total * max(count); ``grid_energy`` sums it in int64
+only when that product is below 2**63, and in object dtype otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
-from .intset import IntegerSet
+from .intset import _INT64_LIMIT, IntegerSet
 
-_INT64_LIMIT = 1 << 62
-_BITMAP_SPAN = 150_000_000
-_OUTER_PAIRS = 20_000_000
+_BYTE_BUDGET = 150_000_000  # working memory of one array route, in bytes
+_SORT_PAIR_BYTES = 40  # sums, run mask, order and gathered copies, per pair
 
 
 class SizeGuardError(ValueError):
@@ -28,67 +52,186 @@ def _short(text: str, limit: int = 80) -> str:
     return text if len(text) <= limit else text[: limit - 3] + "..."
 
 
-def floor_scale(E: IntegerSet, lam) -> IntegerSet:
-    """{floor(lambda * n) : n in E} with exact rational floors."""
+def _positive(lam) -> Fraction:
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("lambda must be positive (negative and zero scalings are reduced away)")
+    return lam
+
+
+def _runs(vals: np.ndarray, weights: Optional[np.ndarray] = None):
+    """(distinct values, run weights) of a sorted nonempty array.
+
+    Without weights each element counts once.
+    """
+    start = np.empty(len(vals), dtype=bool)
+    start[0] = True
+    np.not_equal(vals[1:], vals[:-1], out=start[1:])
+    idx = np.flatnonzero(start)
+    if weights is None:
+        return vals[idx], np.diff(idx, append=len(vals))
+    return vals[idx], np.add.reduceat(weights, idx)
+
+
+def _sorted_runs(vals: np.ndarray, weights: Optional[np.ndarray] = None):
+    """_runs of an unsorted array; sorts vals in place when unweighted."""
+    if weights is None:
+        vals.sort()
+        return _runs(vals)
+    order = np.argsort(vals, kind="stable")
+    return _runs(vals[order], weights[order])
+
+
+def _int64_floors(F: IntegerSet, p: int, q: int):
+    """floor(p*b/q) over F in int64, as (distinct floors, multiplicities).
+
+    Multiplicities are None when every floor is distinct.  Returns None
+    when some b*p may leave int64.
+    """
+    xf = F._np_view()
+    if xf is None or max(abs(int(xf[0])), abs(int(xf[-1]))) * p >= _INT64_LIMIT:
+        return None
+    if p >= q:
+        # gaps scale by at least 1, floors stay distinct and sorted
+        return (xf if p == q else xf * p // q), None
+    uf, mult = _runs(xf * p // q)
+    return uf, (None if len(uf) == len(xf) else mult)
+
+
+def grid_in_int64(E: IntegerSet, F: IntegerSet, lam) -> bool:
+    """True when grid_histogram runs E x floor(lam*F) in int64 (not object dtype)."""
+    lam = Fraction(lam)
+    return (
+        E._np_view() is not None
+        and _int64_floors(F, lam.numerator, lam.denominator) is not None
+    )
+
+
+def _dense_histogram(xe, uf, mult, lo, span, cdtype):
+    acc = np.zeros(span, dtype=cdtype)
+    if len(xe) <= len(uf):
+        base, shifts = uf - lo, xe.tolist()
+        weights = repeat(1 if mult is None else mult)
+    else:
+        base, shifts = xe - lo, uf.tolist()
+        weights = repeat(1) if mult is None else mult.tolist()
+    idx = np.empty_like(base)
+    for shift, w in zip(shifts, weights):
+        np.add(base, shift, out=idx)
+        acc[idx] += w
+    nz = np.flatnonzero(acc)
+    return nz + lo, acc[nz]
+
+
+def _sorted_histogram(xe, uf, mult, cdtype):
+    # rows from the longer array, so that a chunk of rows fits the budget
+    chunk_pairs = _BYTE_BUDGET // _SORT_PAIR_BYTES
+    rows, cols = (xe, uf) if len(xe) >= len(uf) else (uf, xe)
+    step = max(1, chunk_pairs // len(cols))
+    parts = []
+    for i in range(0, len(rows), step):
+        vals = (rows[i : i + step, None] + cols[None, :]).ravel()
+        if mult is None:
+            weights = None
+        elif rows is uf:
+            weights = np.repeat(mult[i : i + step], len(cols))
+        else:
+            weights = np.tile(mult, len(vals) // len(cols))
+        values, counts = _sorted_runs(vals, weights)
+        parts.append((values, counts.astype(cdtype, copy=False)))
+    if len(parts) == 1:
+        return parts[0]
+    values = np.concatenate([v for v, _ in parts])
+    counts = np.concatenate([c for _, c in parts])
+    del parts
+    return _sorted_runs(values, counts)
+
+
+def grid_histogram(E: IntegerSet, F: IntegerSet, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram of a + floor(lam*b) over E x F: (values, counts).
+
+    values are the distinct grid values in increasing order (int64, or
+    object dtype beyond int64); counts[i] is the number of pairs (a, b)
+    landing on values[i], in the smallest unsigned dtype holding |F|.
+    The route (dense, sorted, object) depends on the input only; see the
+    module docstring.  No size guard: callers check the grid size.
+    """
+    lam = _positive(lam)
+    if len(E) == 0 or len(F) == 0:
+        raise ValueError("grid_histogram needs nonempty sets")
+    p, q = lam.numerator, lam.denominator
+    cdtype = np.min_scalar_type(len(F))  # smallest unsigned dtype holding |F|
+    xe = E._np_view()
+    floors = None if xe is None else _int64_floors(F, p, q)
+    if floors is None:
+        hist: dict[int, int] = {}
+        for b in F.elements:
+            fb = p * b // q
+            for a in E.elements:
+                v = a + fb
+                hist[v] = hist.get(v, 0) + 1
+        keys = sorted(hist)
+        return (
+            np.array(keys, dtype=object),
+            np.array([hist[k] for k in keys], dtype=cdtype),
+        )
+    uf, mult = floors
+    if mult is not None:
+        mult = mult.astype(cdtype)  # multiplicities are at most |F| too
+    lo = int(xe[0]) + int(uf[0])
+    span = int(xe[-1]) + int(uf[-1]) - lo + 1
+    if span <= len(xe) * len(uf) and span * cdtype.itemsize <= _BYTE_BUDGET:
+        return _dense_histogram(xe, uf, mult, lo, span, cdtype)
+    return _sorted_histogram(xe, uf, mult, cdtype)
+
+
+def grid_energy(counts: np.ndarray, total: int) -> int:
+    """Sum of squared counts of a histogram of total grid points.
+
+    The energy is at most total * max(count), so int64 is exact when
+    that product is below 2**63; otherwise the sum runs on Python ints.
+    """
+    if len(counts) == 0:
+        return 0
+    if total * int(counts.max()) < 1 << 63:
+        c = counts.astype(np.int64)
+        return int(np.dot(c, c))
+    c = counts.astype(object)
+    return int((c * c).sum())
+
+
+def floor_scale(E: IntegerSet, lam) -> IntegerSet:
+    """{floor(lambda * n) : n in E} with exact rational floors."""
+    lam = _positive(lam)
     p, q = lam.numerator, lam.denominator
     prov = f"scale({_short(E.provenance)}, {lam})"
-    xs = E._np_view()
-    if xs is not None and len(xs) and abs(int(xs[0])) * p < _INT64_LIMIT and abs(int(xs[-1])) * p < _INT64_LIMIT:
-        vals = xs * p // q
-        if p >= q:
-            # gaps scale by at least 1, floors stay distinct and sorted
-            return IntegerSet.from_sorted(tuple(int(x) for x in vals), prov)
-        return IntegerSet.from_sorted(tuple(int(x) for x in np.unique(vals)), prov)
+    floors = _int64_floors(E, p, q)
+    if floors is not None:
+        return IntegerSet.from_sorted_array(floors[0], prov)
     out = sorted({(x * p) // q for x in E.elements})
     return IntegerSet.from_sorted(tuple(out), prov)
 
 
-def sumset(E: IntegerSet, F: IntegerSet, max_pairs: int = 100_000_000) -> IntegerSet:
-    """{a + b : a in E, b in F}, deduplicated.
-
-    Refuses products above max_pairs.  Within the guard, a dense bitmap
-    over the value span is used when the span is moderate; otherwise
-    chunked outer sums merged through np.unique.
-    """
-    if len(E) == 0 or len(F) == 0:
-        raise ValueError("sumset needs nonempty sets")
-    pairs = len(E) * len(F)
-    if pairs > max_pairs:
+def check_sum_pairs(E: IntegerSet, F: IntegerSet, max_pairs: int) -> None:
+    """The size guard of sumset: refuse more than max_pairs pairs."""
+    if len(E) * len(F) > max_pairs:
         raise SizeGuardError(
             f"sumset too large, restrict windows ({len(E)} x {len(F)} pairs)"
         )
-    prov = f"sum({_short(E.provenance)}, {_short(F.provenance)})"
-    if len(E) > len(F):
-        E, F = F, E  # chunk the smaller set, vectorize over the larger
-    xe = E._np_view()
-    xf = F._np_view()
-    if xe is not None and xf is not None:
-        lo = int(xe[0]) + int(xf[0])
-        hi = int(xe[-1]) + int(xf[-1])
-        if -_INT64_LIMIT < lo and hi < _INT64_LIMIT:
-            span = hi - lo + 1
-            if pairs <= _OUTER_PAIRS:
-                vals = np.unique((xe[:, None] + xf[None, :]).ravel())
-                return IntegerSet.from_sorted(tuple(int(x) for x in vals), prov)
-            if span <= _BITMAP_SPAN:
-                hit = np.zeros(span, dtype=bool)
-                chunk = max(1, 4_000_000 // len(xf))
-                for i in range(0, len(xe), chunk):
-                    idx = (xe[i : i + chunk, None] + xf[None, :]).ravel() - lo
-                    hit[idx] = True
-                vals = np.flatnonzero(hit) + lo
-                return IntegerSet.from_sorted(tuple(int(x) for x in vals), prov)
-            merged = np.empty(0, dtype=np.int64)
-            chunk = max(1, _OUTER_PAIRS // len(xf))
-            for i in range(0, len(xe), chunk):
-                part = np.unique((xe[i : i + chunk, None] + xf[None, :]).ravel())
-                merged = np.union1d(merged, part)
-            return IntegerSet.from_sorted(tuple(int(x) for x in merged), prov)
-    out = {a + b for a in E.elements for b in F.elements}
-    return IntegerSet(out, prov)
+
+
+def sumset(E: IntegerSet, F: IntegerSet, max_pairs: int = 100_000_000) -> IntegerSet:
+    """{a + b : a in E, b in F}, deduplicated: the values of grid_histogram(E, F, 1).
+
+    Refuses products above max_pairs.
+    """
+    if len(E) == 0 or len(F) == 0:
+        raise ValueError("sumset needs nonempty sets")
+    check_sum_pairs(E, F, max_pairs)
+    values, _ = grid_histogram(E, F, 1)
+    return IntegerSet.from_sorted_array(
+        values, f"sum({_short(E.provenance)}, {_short(F.provenance)})"
+    )
 
 
 def sum_scaled(E: IntegerSet, F: IntegerSet, lam, max_pairs: int = 100_000_000) -> IntegerSet:

@@ -19,9 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exact import ceil_pow, iroot
-from .intset import IntegerSet, Interval
-
-_INT64_LIMIT = 1 << 62
+from .intset import _INT64_LIMIT, IntegerSet, Interval
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +248,7 @@ def cantor_set(
                 break
             collected.extend(frontier.values())
         allvals = np.unique(np.concatenate(collected))
-        return IntegerSet.from_sorted(tuple(int(x) for x in allvals), prov)
+        return IntegerSet.from_sorted(tuple(allvals.tolist()), prov)
 
     frontier_py: dict[int, list[int]] = {s: [dig[s]] for s in usable}
     seen: set[int] = set()
@@ -342,7 +340,7 @@ def ip_set(params: IPParameters) -> IntegerSet:
         for k, d in zip(ks, ds):
             vals = (vals[:, None] + (np.arange(k, dtype=np.int64) * d)[None, :]).ravel()
         vals.sort()
-        elements = tuple(int(x) for x in vals)
+        elements = tuple(vals.tolist())
     else:
         acc = [0]
         for k, d in zip(ks, ds):
@@ -392,7 +390,7 @@ def random_walk_zeros(seed: int, n_steps: int) -> IntegerSet:
     walk = np.cumsum(steps)
     zeros = np.flatnonzero(walk == 0) + 1
     return IntegerSet.from_sorted(
-        tuple(int(x) for x in zeros), f"walk(seed={seed}, steps={n_steps})"
+        tuple(zeros.tolist()), f"walk(seed={seed}, steps={n_steps})"
     )
 
 

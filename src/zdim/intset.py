@@ -86,6 +86,23 @@ class IntegerSet:
         obj._np = None
         return obj
 
+    @classmethod
+    def from_sorted_array(cls, values: np.ndarray, provenance: str) -> "IntegerSet":
+        """Trusted constructor from a sorted, duplicate-free array.
+
+        An int64 array within the view's range is kept as the int64
+        view, so the vectorized scans need not convert the elements back.
+        """
+        obj = cls.from_sorted(tuple(values.tolist()), provenance)
+        if (
+            values.dtype == np.int64
+            and len(values)
+            and -_INT64_LIMIT < values[0]
+            and values[-1] < _INT64_LIMIT
+        ):
+            obj._np = values
+        return obj
+
     def _np_view(self) -> Optional[np.ndarray]:
         """int64 view of the elements, or None if they don't fit."""
         if self._np is None and self.elements:

@@ -18,15 +18,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .arithmetic import SizeGuardError, sum_scaled
+from .arithmetic import (
+    SizeGuardError,
+    check_sum_pairs,
+    floor_scale,
+    grid_energy,
+    grid_histogram,
+    grid_in_int64,
+    sum_scaled,
+)
 from .intset import IntegerSet, Interval
 from .measures import ScanSchedule, dimension_estimate
 
-_INT64_LIMIT = 1 << 62
-_OUTER_PAIRS = 20_000_000
-_BINCOUNT_SPAN = 30_000_000
+_OBJECT_GRID_PAIRS = 4_000_000  # largest grid histogrammed on Python ints
 
 
 @dataclass(frozen=True)
@@ -161,6 +165,21 @@ class CollisionReport:
         return dict(zip(self.values, self.counts))
 
 
+def _check_grid(E: IntegerSet, F: IntegerSet, lam: Fraction, max_pairs: int) -> int:
+    """Size guards of a collision grid; returns its number of pairs."""
+    pairs = len(E) * len(F)
+    if pairs > max_pairs:
+        raise SizeGuardError(
+            f"collision grid too large ({pairs} pairs), restrict windows"
+        )
+    if pairs > _OBJECT_GRID_PAIRS and not grid_in_int64(E, F, lam):
+        raise SizeGuardError(
+            "collision grid needs big-integer handling at this size, "
+            "restrict windows"
+        )
+    return pairs
+
+
 def collision_stats(
     E: IntegerSet, F: IntegerSet, lam, max_pairs: int = 100_000_000
 ) -> CollisionReport:
@@ -174,57 +193,17 @@ def collision_stats(
         raise ValueError("lambda must be positive")
     if len(E) == 0 or len(F) == 0:
         raise ValueError("empty set")
-    pairs = len(E) * len(F)
-    if pairs > max_pairs:
-        raise SizeGuardError(
-            f"collision grid too large ({pairs} pairs), restrict windows"
-        )
-    p, q = lam.numerator, lam.denominator
-    xe = E._np_view()
-    xf = F._np_view()
-    values = counts = None
-    if xe is not None and xf is not None:
-        bound = max(abs(int(xf[0])), abs(int(xf[-1])))
-        if bound * p < _INT64_LIMIT:
-            fb = xf * p // q
-            lo = int(xe[0] + fb.min())
-            hi = int(xe[-1] + fb.max())
-            span = hi - lo + 1
-            if pairs <= _OUTER_PAIRS:
-                vals = (xe[:, None] + fb[None, :]).ravel()
-                values, counts = np.unique(vals, return_counts=True)
-            elif span <= _BINCOUNT_SPAN:
-                acc = np.zeros(span, dtype=np.int64)
-                chunk = max(1, 4_000_000 // max(1, len(fb)))
-                for i in range(0, len(xe), chunk):
-                    idx = (xe[i : i + chunk, None] + fb[None, :] - lo).ravel()
-                    acc += np.bincount(idx, minlength=span)
-                nz = np.flatnonzero(acc)
-                values, counts = nz + lo, acc[nz]
-    if values is None:
-        if pairs > 4_000_000:
-            raise SizeGuardError(
-                "collision grid needs big-integer handling at this size, "
-                "restrict windows"
-            )
-        hist: dict[int, int] = {}
-        for bval in F.elements:
-            fb_val = p * bval // q
-            for aval in E.elements:
-                key = aval + fb_val
-                hist[key] = hist.get(key, 0) + 1
-        items = sorted(hist.items())
-        values = np.array([k for k, _ in items], dtype=object)
-        counts = np.array([c for _, c in items], dtype=object)
-    energy = int((counts.astype(object) ** 2).sum()) if len(counts) else 0
+    pairs = _check_grid(E, F, lam, max_pairs)
+    values, counts = grid_histogram(E, F, lam)
+    energy = grid_energy(counts, pairs)
     return CollisionReport(
         lam,
         pairs,
         len(values),
         energy,
         Fraction(pairs * pairs, energy),
-        tuple(int(v) for v in values),
-        tuple(int(c) for c in counts),
+        tuple(values.tolist()),
+        tuple(counts.tolist()),
     )
 
 
@@ -254,17 +233,8 @@ class DeltaReport:
 
 
 def _diff_histogram(E: IntegerSet) -> dict[int, int]:
-    xs = E._np_view()
-    if xs is not None and len(xs) <= 20_000:
-        d = (xs[None, :] - xs[:, None]).ravel()
-        vals, cnts = np.unique(d, return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, cnts)}
-    hist: dict[int, int] = {}
-    for x in E.elements:
-        for y in E.elements:
-            g = y - x
-            hist[g] = hist.get(g, 0) + 1
-    return hist
+    values, counts = grid_histogram(E, E.reflect(), 1)
+    return dict(zip(values.tolist(), counts.tolist()))
 
 
 def delta_exact(
@@ -289,7 +259,7 @@ def delta_exact(
             "restrict windows or raise max_pairs"
         )
     lo, hi = window.lo, window.hi
-    diffs = _diff_histogram(E)
+    diffs = _diff_histogram(E) if len(F) > 1 else {}  # read per pair of slopes only
     total = Fraction(pairs) * window.measure  # z == z' diagonal
     positive = pairs
     breakpoints = 0
@@ -451,26 +421,33 @@ def sweep(
     if schedule is None:
         schedule = [(E.hull(), F.hull())]
     lams = _draw_lambdas(window, samples, seed, skip_integers)
+    parts = [(I, J, E.restrict(I), F.restrict(J)) for I, J in schedule]
 
     def one(lam: Fraction) -> SweepRecord:
         best: Optional[SweepRecord] = None
-        for I, J in schedule:
-            Er, Fr = E.restrict(I), F.restrict(J)
+        for I, J, Er, Fr in parts:
             if len(Er) == 0 or len(Fr) == 0:
                 continue
-            S = sum_scaled(Er, Fr, lam, max_pairs=max_pairs)
+            if len(Er) * len(Fr) > max_pairs:
+                # the sum's guard fires first; it counts distinct floors
+                check_sum_pairs(Er, floor_scale(Fr, lam), max_pairs)
+            pairs = _check_grid(Er, Fr, lam, max_pairs)
+            values, counts = grid_histogram(Er, Fr, lam)
+            S = IntegerSet.from_sorted_array(
+                values, f"sum({Er.provenance}, scale({Fr.provenance}, {lam}))"
+            )
             ml = min_length
             if ml is None:
                 ml = max(2, math.isqrt(S.hull().length))
             dim = dimension_estimate(S, ScanSchedule(budget=dim_budget, min_length=ml))
-            col = collision_stats(Er, Fr, lam, max_pairs=max_pairs)
+            energy = grid_energy(counts, pairs)
             rec = SweepRecord(
                 lam,
                 dim.alpha_float,
                 len(S),
-                col.distinct_count,
-                col.energy,
-                col.cs_bound,
+                len(S),
+                energy,
+                Fraction(pairs * pairs, energy),
                 _sweep_span(I, J, lam),
             )
             if best is None or rec.dimension > best.dimension:

@@ -128,6 +128,7 @@ def test_02_word_count_growth_law():
     assert worst_ratio_err < 1e-3
 
 
+@pytest.mark.slow
 def test_03_resonant_sum_collapses_dimension():
     ea, eb, ec = _resonance6()
     assert (len(ea), len(eb), len(ec)) == (4096, 15625, 1771561)
@@ -244,6 +245,7 @@ def test_06_thinning_contracts_to_regular_band():
     assert fails == 0
 
 
+@pytest.mark.slow
 def test_07_generic_scaling_lifts_cube_sums():
     E = polynomial_set((0, 0, 0, 1), (1, 1000))
     rep = sweep(E, E, LambdaWindow(Fr(1), Fr(2)), samples=100, seed=7)
@@ -253,6 +255,7 @@ def test_07_generic_scaling_lifts_cube_sums():
     assert good >= 90
 
 
+@pytest.mark.slow
 def test_08_resonant_lambda_vs_generic_lambda():
     ea, eb, _ = _resonance6()
     I = Interval(0, 12**5)
@@ -285,6 +288,7 @@ def test_09_dilation_scales_the_half_measure():
     assert worst < 0.10
 
 
+@pytest.mark.slow
 def test_10a_integer_dilation_resonance_identity():
     E = _resonant_e()
     de = dimension_estimate(E, _isqrt_schedule(E)).alpha_float
@@ -302,6 +306,7 @@ def test_10a_integer_dilation_resonance_identity():
     assert gap <= 0.05
 
 
+@pytest.mark.slow
 def test_10b_noninteger_lambdas_beat_the_resonant_one():
     E = _resonant_e()
     de = dimension_estimate(E, _isqrt_schedule(E)).alpha_float

@@ -1,15 +1,19 @@
 """Arithmetic on integer sets: floor dilation, sumsets, star products."""
 
+from contextlib import contextmanager
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import zdim.arithmetic as arith
 from zdim.arithmetic import (
     SizeGuardError,
     asymptotic_check,
     floor_scale,
+    grid_energy,
+    grid_histogram,
     star,
     sum_scaled,
     sumset,
@@ -48,23 +52,95 @@ def test_sumset_small_oracle():
     assert S.elements == (0, 1, 2, 3, 4)
 
 
-def test_sumset_routes_agree():
-    # force each numpy route on the same data and compare to the dict route
-    E = IntegerSet(range(0, 900, 7), "e7")
-    F = IntegerSet(range(0, 500, 3), "f3")
-    oracle = tuple(sorted({a + b for a in E.elements for b in F.elements}))
-    assert sumset(E, F).elements == oracle  # outer route (under 2e7 pairs)
+def _dict_histogram(E, F, lam):
+    lam = Fr(lam)
+    hist = {}
+    for a in E.elements:
+        for b in F.elements:
+            v = a + b * lam.numerator // lam.denominator
+            hist[v] = hist.get(v, 0) + 1
+    return dict(sorted(hist.items()))
 
-    saved_outer = arith._OUTER_PAIRS
-    saved_span = arith._BITMAP_SPAN
+
+@contextmanager
+def _routes_taken(budget=None):
+    """Record which engine routes run, optionally under a smaller byte budget."""
+    taken = []
+    saved = {name: getattr(arith, name) for name in
+             ("_BYTE_BUDGET", "_dense_histogram", "_sorted_histogram")}
+
+    def spy(name):
+        def wrapper(*args):
+            taken.append(name)
+            return saved[name](*args)
+        return wrapper
+
+    arith._dense_histogram = spy("_dense_histogram")
+    arith._sorted_histogram = spy("_sorted_histogram")
+    if budget is not None:
+        arith._BYTE_BUDGET = budget
     try:
-        arith._OUTER_PAIRS = 100  # force chunked paths
-        assert sumset(E, F).elements == oracle  # bitmap route
-        arith._BITMAP_SPAN = 10  # span too big for bitmap
-        assert sumset(E, F).elements == oracle  # chunked-unique route
+        yield taken
     finally:
-        arith._OUTER_PAIRS = saved_outer
-        arith._BITMAP_SPAN = saved_span
+        for name, value in saved.items():
+            setattr(arith, name, value)
+
+
+def test_sumset_routes_agree():
+    # force each engine route and compare it to the dict oracle
+    dense = (IntegerSet(range(0, 900, 7), "e7"), IntegerSet(range(0, 500, 3), "f3"))
+    sparse = (IntegerSet(range(0, 9_000_000, 70_001), "e"), dense[1])
+    big = (dense[0].shift(10**40), dense[1])
+    cases = [
+        (dense, None, ["_dense_histogram"]),  # span below the pair count
+        (dense, 1000, ["_sorted_histogram"]),  # counters over budget: chunked sort
+        (sparse, None, ["_sorted_histogram"]),  # span above the pair count: one sort
+        (big, None, []),  # beyond int64: object dtype
+    ]
+    for (E, F), budget, route in cases:
+        for lam in (Fr(1), Fr(5, 2), Fr(1, 3)):  # 1/3: duplicate floors
+            oracle = _dict_histogram(E, F, lam)
+            with _routes_taken(budget) as taken:
+                values, counts = grid_histogram(E, F, lam)
+                assert sum_scaled(E, F, lam).elements == tuple(oracle)
+            assert taken == route * 2
+            assert dict(zip(values.tolist(), counts.tolist())) == oracle
+
+
+_value = st.one_of(
+    st.integers(-300, 300),
+    st.integers(-(10**6), 10**6),
+    st.integers(-(2**70), 2**70),  # big integers: beyond int64 from 2**62 on
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_value, min_size=1, max_size=30),
+    st.lists(_value, min_size=1, max_size=30),
+    st.one_of(
+        st.fractions(min_value=Fr(1, 50), max_value=Fr(1)),  # duplicate floors
+        st.fractions(min_value=Fr(1, 10**6), max_value=Fr(10**3), max_denominator=10**15),
+    ),
+    st.sampled_from([None, 400, 1]),  # byte budgets: default, chunked sort, one row per chunk
+)
+def test_grid_histogram_matches_dict(xs, ys, lam, budget):
+    E, F = IntegerSet(xs, "e"), IntegerSet(ys, "f")
+    with _routes_taken(budget):
+        values, counts = grid_histogram(E, F, lam)
+    oracle = _dict_histogram(E, F, lam)
+    assert dict(zip(values.tolist(), counts.tolist())) == oracle
+    assert list(values.tolist()) == list(oracle)
+    assert counts.dtype.kind == "u" and int(counts.max()) <= len(F)
+    total = len(E) * len(F)
+    assert grid_energy(counts, total) == sum(c * c for c in oracle.values())
+
+
+def test_grid_energy_object_fallback():
+    counts = np.array([2**32 - 1, 3], dtype=np.uint32)
+    total = 2**40  # total * max(count) reaches 2**63: summed on Python ints
+    assert grid_energy(counts, total) == (2**32 - 1) ** 2 + 9
+    assert grid_energy(np.array([], dtype=np.uint8), 0) == 0
 
 
 def test_sumset_bigint_route():

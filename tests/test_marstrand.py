@@ -196,6 +196,42 @@ def test_sweep_record_consistency():
     assert rep.dim_min <= rep.dim_median <= rep.dim_max
 
 
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(st.integers(-(10**5), 10**5), min_size=3, max_size=60, unique=True),
+    st.lists(st.integers(-(10**5), 10**5), min_size=3, max_size=60, unique=True),
+    st.integers(0, 10**6),
+)
+def test_sweep_records_match_sum_and_collision_stats(xs, ys, seed):
+    E, F = IntegerSet(xs, "e"), IntegerSet(ys, "f")
+    I = Interval(E.elements[0] - 1, E.elements[-1] - 1)  # drops E's maximum
+    w = LambdaWindow(Fr(1, 3), Fr(7, 3))
+    for schedule in (None, [(I, F.hull())]):
+        rep = sweep(E, F, w, samples=3, seed=seed, schedule=schedule, min_length=2)
+        Er = E if schedule is None else E.restrict(I)
+        for r in rep.records:
+            col = collision_stats(Er, F, r.lam)
+            assert r.sum_size == len(sum_scaled(Er, F, r.lam))
+            assert (r.distinct, r.energy, r.cs_bound) == (
+                col.distinct_count, col.energy, col.cs_bound
+            )
+
+
+def test_sweep_size_guards_keep_their_messages():
+    E = IntegerSet(range(0, 1000, 3), "e")
+    F = IntegerSet(range(100), "f")  # 334 x 100 pairs; floor(F/4) has 25 values
+    quarter = LambdaWindow(Fr(1, 5), Fr(1, 4))
+    with pytest.raises(SizeGuardError, match=r"sumset too large, restrict windows \(334 x 25 pairs\)"):
+        sweep(E, F, quarter, samples=1, seed=0, max_pairs=334 * 25 - 1)
+    with pytest.raises(SizeGuardError, match=r"collision grid too large \(33400 pairs\)"):
+        sweep(E, F, quarter, samples=1, seed=0, max_pairs=334 * 25)
+    big = IntegerSet([10**30 + k for k in range(2001)], "big")
+    with pytest.raises(SizeGuardError, match="big-integer handling"):
+        collision_stats(big, big, 1)
+    with pytest.raises(SizeGuardError, match="big-integer handling"):
+        sweep(big, big, LambdaWindow(Fr(1), Fr(2)), samples=1, seed=0)
+
+
 def test_sweep_skip_integers():
     w = LambdaWindow(Fr(1), Fr(3))
     E = IntegerSet([n * n for n in range(1, 60)], "sq")
