@@ -518,7 +518,6 @@ def cmd_sweep(args) -> int:
         window,
         samples=args.samples,
         seed=args.seed,
-        threads=args.threads,
         threshold=args.assert_threshold,
         min_length=args.min_length,
         dim_budget=args.budget,
@@ -556,7 +555,7 @@ def cmd_sweep(args) -> int:
     _emit(report, args.json)
     cfg = _config_from_args(
         args,
-        ["a", "b", "lambda_min", "lambda_max", "samples", "seed", "threads",
+        ["a", "b", "lambda_min", "lambda_max", "samples", "seed",
          "assert_threshold", "min_fraction", "min_length", "budget",
          "skip_integers"],
     )
@@ -676,7 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--lambda-max", type=parse_frac, required=True)
     pw.add_argument("--samples", type=int, default=100)
     pw.add_argument("--seed", type=int, default=0)
-    pw.add_argument("--threads", type=int, default=1)
     pw.add_argument("--assert-threshold", type=float)
     pw.add_argument(
         "--min-fraction",

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+EXACT_DEN_LIMIT = 64  # largest alpha denominator for integer cross-powers
+_EXACT_BITS = 200_000  # largest bit length of length**numerator worth computing
+
 
 def iroot(x: int, k: int) -> int:
     """Floor of the k-th root of a nonnegative integer.
@@ -67,6 +70,18 @@ def pow_bracket(x: int, alpha: Fraction, digits: int) -> tuple[Fraction, Fractio
     if m**q == x**p * scale**q:
         return lo, lo
     return lo, Fraction(m + 1, scale)
+
+
+def exact_feasible(length: int, alpha: Fraction) -> bool:
+    """Whether cmp_ratio and pow_bracket on length**alpha stay affordable.
+
+    True for a small denominator and a power length**numerator of at
+    most _EXACT_BITS bits; callers fall back to high-precision decimals.
+    """
+    return (
+        alpha.denominator <= EXACT_DEN_LIMIT
+        and length.bit_length() * alpha.numerator <= _EXACT_BITS
+    )
 
 
 def cmp_ratio(

@@ -66,7 +66,8 @@ class IntegerSet:
 
     Storage is a plain tuple of Python ints, so arbitrarily large
     elements work.  When all elements fit comfortably in int64 a numpy
-    view is built lazily for the vectorized scans in the measure code.
+    view is built lazily for the vectorized routes; the window scans
+    read an object array of the Python ints otherwise.
     """
 
     __slots__ = ("elements", "provenance", "_np")
@@ -109,6 +110,11 @@ class IntegerSet:
             if -_INT64_LIMIT < self.elements[0] and self.elements[-1] < _INT64_LIMIT:
                 self._np = np.asarray(self.elements, dtype=np.int64)
         return self._np
+
+    def _array(self) -> np.ndarray:
+        """The elements as an array: the int64 view, else object dtype."""
+        xs = self._np_view()
+        return xs if xs is not None else np.array(self.elements, dtype=object)
 
     def __len__(self) -> int:
         return len(self.elements)

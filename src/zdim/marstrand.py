@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -399,7 +398,6 @@ def sweep(
     samples: int,
     seed: int,
     schedule: Optional[Sequence[tuple[Interval, Interval]]] = None,
-    threads: int = 1,
     threshold: Optional[float] = None,
     min_length: Optional[int] = None,
     dim_budget: int = 2_000_000,
@@ -409,7 +407,7 @@ def sweep(
     """Dimension of E + floor(lam*F) across random lambdas.
 
     Lambdas are lo + width*k/10**6 for uniform k (seeded, so the record
-    list is reproducible and thread-count independent).  Per lambda the
+    list is reproducible).  Per lambda the
     best record over the window schedule is kept; dimension scans use a
     minimum witness length of sqrt(hull) unless overridden, which
     filters out single dense clumps that would pin the estimate at 1.
@@ -456,11 +454,7 @@ def sweep(
             raise ValueError("schedule left no elements to sum")
         return best
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = tuple(pool.map(one, lams))
-    else:
-        records = tuple(one(lam) for lam in lams)
+    records = tuple(one(lam) for lam in lams)
     dims = [r.dimension for r in records]
     frac = None
     if threshold is not None:

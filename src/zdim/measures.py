@@ -9,11 +9,17 @@ intervals we maximize
     alpha-measure:  count / length**alpha
     density:        count / length         (alpha = 1)
 
-Scanning is done in floating point for speed, then every near-tie at
-the top is re-compared exactly (integer cross-powers for rational alpha
-with small denominator, high-precision decimal otherwise), so witnesses
-landing exactly on a boundary are resolved correctly and the reported
-witness is deterministic.
+One window scan serves all three; the caller passes the objective as
+a score function with its near-tie threshold.  The scan runs on the
+set's element array, int64 when the elements fit and object dtype
+(Python ints) otherwise, so the dtype alone chooses the big-integer
+path.  Lengths of either dtype become float64 with the same rounding;
+lengths beyond float range score as infinitely long.  The float scan
+finds the best score, then every near-tie at the top is re-compared
+exactly (integer cross-powers for rational alpha with small
+denominator, high-precision decimal otherwise), so witnesses landing
+exactly on a boundary are resolved correctly and the reported witness
+is deterministic.
 
 Sets whose full pair count exceeds the schedule budget are scanned on
 an index stride.  First and last elements are always kept, so witnesses
@@ -27,17 +33,17 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import isqrt
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .exact import cmp_ratio, pow_bracket
+from .exact import EXACT_DEN_LIMIT, cmp_ratio, exact_feasible, ratio_value
 from .intset import IntegerSet, Interval
 
-# pure-python scans (sets with elements beyond int64) get a tighter cap
+# scans of object arrays (elements beyond int64) get a tighter cap
 _PY_BUDGET = 2_000_000
 _MAX_CANDIDATES = 50_000
-_EXACT_DEN_LIMIT = 64  # largest alpha denominator for integer cross-powers
+_FLOAT_OVERFLOW = (1 << 1024) - (1 << 970)  # least int that float() rounds to 2**1024
 
 
 class DegenerateSetError(ValueError):
@@ -124,44 +130,67 @@ def _scan_positions(n: int, budget: int) -> tuple[list[int], bool]:
     return pos, True
 
 
-# ---------------------------------------------------------------------------
-# ratio objective: count / length**alpha
+def _scan_array(E: IntegerSet, budget: int) -> tuple[np.ndarray, list[int], bool]:
+    """E's element array, the endpoint indices to scan, and a subsampled flag."""
+    xs = E._array()
+    if xs.dtype == object:  # Python-int arithmetic gets a tighter pair budget
+        budget = min(budget, _PY_BUDGET)
+    pos, sub = _scan_positions(len(xs), budget)
+    return xs, pos, sub
 
 
-def _np_ratio_pass(
+def _as_float(v: np.ndarray) -> np.ndarray:
+    """float64 copy of integer lengths, rounded alike for both dtypes.
+
+    Lengths that float() would round to 2**1024 or more, which only
+    object arrays can hold, become inf.
+    """
+    if v.dtype != object:
+        return v.astype(np.float64)
+    huge = v >= _FLOAT_OVERFLOW
+    out = np.where(huge, 0, v).astype(np.float64)
+    out[huge] = np.inf
+    return out
+
+
+def _window_scan(
     xs: np.ndarray,
     pos: list[int],
-    alpha_f: float,
+    score: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    near: Callable[[float], float],
     min_count: int,
     min_length: int,
 ) -> tuple[list[tuple[int, int, int, int]], int]:
-    """Two-pass vectorized scan. Returns ((count, length, xi, xj) near-ties, pairs)."""
+    """Two-pass scan of the windows [xs[i], xs[j]] for i <= j in pos.
+
+    score maps float64 (count, length) arrays to scores; windows with
+    fewer than min_count elements or shorter than min_length are left
+    out.  The first pass finds the best score, the second collects the
+    windows scoring at least near(best) as (count, length, x_i, x_j),
+    in scan order and at most _MAX_CANDIDATES of them.  Returns the
+    candidates and the number of (i, j) pairs examined.
+    """
     idx = np.asarray(pos, dtype=np.int64)
     vals = xs[idx]
     rows = len(idx)
-    pairs = 0
-    row_best = np.full(rows, -1.0)
-    for a in range(rows):
+
+    def row(a: int) -> tuple[np.ndarray, np.ndarray]:
         counts = (idx[a:] - idx[a] + 1).astype(np.float64)
-        lens = (vals[a:] - vals[a] + 1).astype(np.float64)
-        pairs += rows - a
+        lens = _as_float(vals[a:] - vals[a] + 1)
         ok = (counts >= min_count) & (lens >= min_length)
-        if not ok.any():
-            continue
-        r = np.where(ok, counts * lens ** (-alpha_f), -1.0)
-        row_best[a] = r.max()
+        return counts, np.where(ok, score(counts, lens), -1.0)
+
+    row_best = np.array([row(a)[1].max() for a in range(rows)])
+    pairs = rows * (rows + 1) // 2
     best = float(row_best.max())
     if best < 0:
         return [], pairs
-    thr = best - abs(best) * 1e-9
+    thr = near(best)
     cands: list[tuple[int, int, int, int]] = []
     for a in np.nonzero(row_best >= thr)[0]:
-        counts = (idx[a:] - idx[a] + 1).astype(np.float64)
-        lens = (vals[a:] - vals[a] + 1).astype(np.float64)
-        ok = (counts >= min_count) & (lens >= min_length)
-        r = np.where(ok, counts * lens ** (-alpha_f), -1.0)
+        counts, r = row(a)
+        xi = int(vals[a])
         for b in np.nonzero(r >= thr)[0]:
-            xi = int(vals[a])
             xj = int(vals[a + b])
             cands.append((int(counts[b]), xj - xi + 1, xi, xj))
             if len(cands) >= _MAX_CANDIDATES:
@@ -169,53 +198,13 @@ def _np_ratio_pass(
     return cands, pairs
 
 
-def _py_ratio_pass(
-    elements: tuple[int, ...],
-    pos: list[int],
-    alpha_f: float,
-    min_count: int,
-    min_length: int,
-) -> tuple[list[tuple[int, int, int, int]], int]:
-    """Pure-python scan for sets whose elements do not fit in int64."""
-    log = math.log
-    exp = math.exp
-    best = -1.0
-    cands: list[tuple[int, int, int, int]] = []
-    pairs = 0
-    for ai, i in enumerate(pos):
-        xi = elements[i]
-        for j in pos[ai:]:
-            pairs += 1
-            count = j - i + 1
-            if count < min_count:
-                continue
-            length = elements[j] - xi + 1
-            if length < min_length:
-                continue
-            r = count * exp(-alpha_f * log(length)) if length > 1 else float(count)
-            if r > best + abs(best) * 1e-9:
-                best = r
-                thr = best - abs(best) * 1e-9
-                cands = [c for c in cands if _py_ratio(c, alpha_f) >= thr]
-                cands.append((count, length, xi, elements[j]))
-            elif r >= best - abs(best) * 1e-9 and len(cands) < _MAX_CANDIDATES:
-                cands.append((count, length, xi, elements[j]))
-    return cands, pairs
-
-
-def _py_ratio(cand: tuple[int, int, int, int], alpha_f: float) -> float:
-    count, length = cand[0], cand[1]
-    if length == 1:
-        return float(count)
-    return count * math.exp(-alpha_f * math.log(length))
+# ---------------------------------------------------------------------------
+# ratio objective: count / length**alpha
 
 
 def _cmp_ratio_any(c1: int, l1: int, c2: int, l2: int, alpha: Fraction) -> int:
     """Sign of c1/l1**alpha - c2/l2**alpha, exact when feasible."""
-    if (
-        alpha.denominator <= _EXACT_DEN_LIMIT
-        and max(l1, l2).bit_length() * alpha.numerator <= 200_000
-    ):
+    if exact_feasible(max(l1, l2), alpha):
         return cmp_ratio(c1, l1, c2, l2, alpha)
     with localcontext() as ctx:
         ctx.prec = 60
@@ -241,16 +230,8 @@ def _pick_best_ratio(
 
 
 def _ratio_to_fraction(count: int, length: int, alpha: Fraction, digits: int = 40) -> Fraction:
-    if length == 1:
-        return Fraction(count)
-    if (
-        alpha.denominator <= _EXACT_DEN_LIMIT
-        and length.bit_length() * alpha.numerator <= 200_000
-    ):
-        lo, hi = pow_bracket(length, alpha, digits)
-        if lo == hi:
-            return Fraction(count) / lo
-        return (Fraction(count) / lo + Fraction(count) / hi) / 2
+    if exact_feasible(length, alpha):
+        return ratio_value(count, length, alpha, digits)
     with localcontext() as ctx:
         ctx.prec = digits + 20
         af = Decimal(alpha.numerator) / Decimal(alpha.denominator)
@@ -265,14 +246,16 @@ def _ratio_scan(
     min_count: int,
 ) -> tuple[tuple[int, int, int, int], int, bool]:
     """Shared engine behind alpha-measure, density, and sup-ratio scans."""
-    n = len(E)
-    xs = E._np_view()
-    if xs is not None:
-        pos, sub = _scan_positions(n, schedule.budget)
-        cands, pairs = _np_ratio_pass(xs, pos, float(alpha), min_count, schedule.min_length)
-    else:
-        pos, sub = _scan_positions(n, min(schedule.budget, _PY_BUDGET))
-        cands, pairs = _py_ratio_pass(E.elements, pos, float(alpha), min_count, schedule.min_length)
+    af = float(alpha)
+    xs, pos, sub = _scan_array(E, schedule.budget)
+    cands, pairs = _window_scan(
+        xs,
+        pos,
+        lambda c, l: c * l ** (-af),
+        lambda best: best - abs(best) * 1e-9,
+        min_count,
+        schedule.min_length,
+    )
     if not cands:
         raise DegenerateSetError(
             f"no interval with count >= {min_count} and length >= {schedule.min_length}"
@@ -320,72 +303,10 @@ def density_estimate(E: IntegerSet, schedule: ScanSchedule = ScanSchedule()) -> 
 # dimension objective: log(count) / log(length)
 
 
-def _np_dim_pass(
-    xs: np.ndarray, pos: list[int], min_length: int
-) -> tuple[list[tuple[int, int, int, int]], int]:
-    idx = np.asarray(pos, dtype=np.int64)
-    vals = xs[idx]
-    rows = len(idx)
-    pairs = 0
-    row_best = np.full(rows, -1.0)
-    for a in range(rows):
-        counts = (idx[a:] - idx[a] + 1).astype(np.float64)
-        lens = (vals[a:] - vals[a] + 1).astype(np.float64)
-        pairs += rows - a
-        ok = (counts >= 2) & (lens >= max(2, min_length))
-        if not ok.any():
-            continue
-        r = np.where(ok, np.log(counts) / np.log(np.maximum(lens, 2.0)), -1.0)
-        row_best[a] = r.max()
-    best = float(row_best.max())
-    if best < 0:
-        return [], pairs
-    thr = best - 1e-12
-    cands: list[tuple[int, int, int, int]] = []
-    for a in np.nonzero(row_best >= thr)[0]:
-        counts = (idx[a:] - idx[a] + 1).astype(np.float64)
-        lens = (vals[a:] - vals[a] + 1).astype(np.float64)
-        ok = (counts >= 2) & (lens >= max(2, min_length))
-        r = np.where(ok, np.log(counts) / np.log(np.maximum(lens, 2.0)), -1.0)
-        for b in np.nonzero(r >= thr)[0]:
-            xi = int(vals[a])
-            xj = int(vals[a + b])
-            cands.append((int(counts[b]), xj - xi + 1, xi, xj))
-            if len(cands) >= _MAX_CANDIDATES:
-                return cands, pairs
-    return cands, pairs
-
-
-def _py_dim_pass(
-    elements: tuple[int, ...], pos: list[int], min_length: int
-) -> tuple[list[tuple[int, int, int, int]], int]:
-    log = math.log
-    best = -1.0
-    cands: list[tuple[int, int, int, int]] = []
-    pairs = 0
-    min_length = max(2, min_length)
-    for ai, i in enumerate(pos):
-        xi = elements[i]
-        for j in pos[ai + 1 :]:
-            pairs += 1
-            count = j - i + 1
-            length = elements[j] - xi + 1
-            if length < min_length:
-                continue
-            r = log(count) / log(length)
-            if r > best + 1e-12:
-                best = r
-                cands = [c for c in cands if log(c[0]) / log(c[1]) >= best - 1e-12]
-                cands.append((count, length, xi, elements[j]))
-            elif r >= best - 1e-12 and len(cands) < _MAX_CANDIDATES:
-                cands.append((count, length, xi, elements[j]))
-    return cands, pairs
-
-
 def _log_ratio_fraction(count: int, length: int) -> Fraction:
     """log(count)/log(length) as a Fraction, exact for true power relations."""
     r = math.log(count) / math.log(length)
-    guess = Fraction(r).limit_denominator(_EXACT_DEN_LIMIT)
+    guess = Fraction(r).limit_denominator(EXACT_DEN_LIMIT)
     if 0 <= guess <= 1 and count**guess.denominator == length**guess.numerator:
         return guess
     return Fraction(r).limit_denominator(10**12)
@@ -400,16 +321,19 @@ def dimension_estimate(
     fewer than two elements has no meaningful estimate and raises
     DegenerateSetError.
     """
-    n = len(E)
-    if n < 2:
+    if len(E) < 2:
         raise DegenerateSetError("dimension needs at least 2 elements")
-    xs = E._np_view()
-    if xs is not None:
-        pos, sub = _scan_positions(n, schedule.budget)
-        cands, pairs = _np_dim_pass(xs, pos, schedule.min_length)
-    else:
-        pos, sub = _scan_positions(n, min(schedule.budget, _PY_BUDGET))
-        cands, pairs = _py_dim_pass(E.elements, pos, schedule.min_length)
+    xs, pos, sub = _scan_array(E, schedule.budget)
+    cands, pairs = _window_scan(
+        xs,
+        pos,
+        lambda c, l: np.log(c) / np.log(np.maximum(l, 2.0)),
+        lambda best: best - 1e-12,
+        2,
+        max(2, schedule.min_length),
+    )
+    if xs.dtype == object:  # big-integer reports never counted the i == j pairs
+        pairs -= len(pos)
     if not cands:
         raise DegenerateSetError(
             f"no interval with count >= 2 and length >= {schedule.min_length}"

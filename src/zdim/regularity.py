@@ -10,20 +10,20 @@ prescribed exponent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .exact import ceil_pow, pow_bracket
+from .exact import ceil_pow, cmp_ratio, exact_feasible, pow_bracket
 from .intset import IntegerSet, Interval
 from .measures import (
     DegenerateSetError,
     DimensionEstimate,
     MeasureEstimate,
     ScanSchedule,
+    _as_float,
     _ratio_scan,
     _ratio_to_fraction,
     dimension_estimate,
@@ -54,11 +54,8 @@ class SupRatio:
 
 def _cmp_ratio_vs(count: int, length: int, alpha: Fraction, target: Fraction) -> int:
     """Exact sign of count/length**alpha - target for small alpha denominators."""
-    p, q = alpha.numerator, alpha.denominator
-    if q <= 64 and length.bit_length() * p <= 200_000:
-        lhs = (count * target.denominator) ** q
-        rhs = target.numerator**q * length**p
-        return (lhs > rhs) - (lhs < rhs)
+    if exact_feasible(length, alpha):
+        return cmp_ratio(count * target.denominator, length, target.numerator, 1, alpha)
     lo, hi = pow_bracket(length, alpha, 60)
     if Fraction(count) / lo < target:
         return -1
@@ -248,56 +245,38 @@ class LadderRung:
 def _best_window_at_scale(
     E: IntegerSet, scale: int, alpha_f: float
 ) -> Optional[tuple[int, int, int, int]]:
-    """Best (count, length, lo, hi) with length in [scale, 2*scale)."""
-    xs = E._np_view()
-    n = len(E)
+    """Best (count, length, lo, hi) with length in [scale, 2*scale).
+
+    For each start it weighs the longest window shorter than 2*scale and
+    the shortest one of length at least scale.
+    """
+    xs = E._array()
+    n = len(xs)
     if n == 0:
         return None
-    if xs is not None:
-        if n > 400_000:
-            stride = n // 200_000
-            xs = xs[::stride]
-        hi_idx = np.searchsorted(xs, xs + (2 * scale - 1), side="right") - 1
-        lo_idx = np.searchsorted(xs, xs + (scale - 1), side="left")
-        best: Optional[tuple[float, int, int, int, int]] = None
-        for j_idx in (hi_idx, lo_idx):
-            valid = j_idx < len(xs)
-            j = np.where(valid, j_idx, len(xs) - 1)
-            counts = (j - np.arange(len(xs)) + 1).astype(np.float64)
-            lens = (xs[j] - xs + 1).astype(np.float64)
-            ok = valid & (lens >= scale) & (lens < 2 * scale) & (counts >= 1)
-            if not ok.any():
-                continue
-            r = np.where(ok, counts * lens ** (-alpha_f), -1.0)
-            i = int(r.argmax())
-            cand = (
-                float(r[i]),
-                int(counts[i]),
-                int(lens[i]),
-                int(xs[i]),
-                int(xs[j[i]]),
-            )
-            if best is None or cand[0] > best[0]:
-                best = cand
-        if best is None:
-            return None
-        return best[1], best[2], best[3], best[4]
-    # big-integer fallback: two-pointer walk
-    els = E.elements
-    best_r = -1.0
-    out = None
-    j = 0
-    for i in range(n):
-        while j < n - 1 and els[j + 1] - els[i] + 1 < 2 * scale:
-            j += 1
-        for jj in (j,):
-            length = els[jj] - els[i] + 1
-            if scale <= length < 2 * scale:
-                r = (jj - i + 1) * math.exp(-alpha_f * math.log(length))
-                if r > best_r:
-                    best_r = r
-                    out = (jj - i + 1, length, els[i], els[jj])
-    return out
+    if n > 400_000:
+        xs = xs[:: n // 200_000]
+        n = len(xs)
+    hi_idx = np.searchsorted(xs, xs + (2 * scale - 1), side="right") - 1
+    lo_idx = np.searchsorted(xs, xs + (scale - 1), side="left")
+    best: Optional[tuple[float, int, int, int, int]] = None
+    for j_idx in (hi_idx, lo_idx):
+        valid = j_idx < n
+        j = np.where(valid, j_idx, n - 1)
+        counts = (j - np.arange(n) + 1).astype(np.float64)
+        lengths = xs[j] - xs + 1
+        ok = valid & (lengths >= scale) & (lengths < 2 * scale)
+        if not ok.any():
+            continue
+        r = np.where(ok, counts * _as_float(lengths) ** (-alpha_f), -1.0)
+        i = int(r.argmax())
+        lo, hi = int(xs[i]), int(xs[j[i]])
+        cand = (float(r[i]), int(counts[i]), hi - lo + 1, lo, hi)
+        if best is None or cand[0] > best[0]:
+            best = cand
+    if best is None:
+        return None
+    return best[1:]
 
 
 def _ladder_scales(E: IntegerSet, max_scale: Optional[int]) -> list[int]:

@@ -168,16 +168,13 @@ def test_delta_size_guard():
         delta_exact(E, E, w, max_pairs=100)
 
 
-def test_sweep_deterministic_and_thread_independent():
+def test_sweep_deterministic():
     E = IntegerSet([n * n for n in range(1, 120)], "sq")
     F = IntegerSet([n * n for n in range(1, 100)], "sq2")
     w = LambdaWindow(Fr(1), Fr(2))
     a = sweep(E, F, w, samples=6, seed=99)
     b = sweep(E, F, w, samples=6, seed=99)
-    c = sweep(E, F, w, samples=6, seed=99, threads=3)
     assert [r.lam for r in a.records] == [r.lam for r in b.records]
-    assert [r.dimension for r in a.records] == [r.dimension for r in c.records]
-    assert [r.lam for r in a.records] == [r.lam for r in c.records]
     d = sweep(E, F, w, samples=6, seed=100)
     assert [r.lam for r in a.records] != [r.lam for r in d.records]
 

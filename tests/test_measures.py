@@ -8,7 +8,9 @@ import math
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from zdim.exact import ratio_value
 from zdim.intset import IntegerSet, Interval
 from zdim.measures import (
     DegenerateSetError,
@@ -18,6 +20,7 @@ from zdim.measures import (
     dimension_estimate,
     monotonicity_check,
 )
+from zdim.regularity import _best_window_at_scale, sup_ratio
 
 
 def brute_dimension(E, min_length=2):
@@ -135,11 +138,71 @@ def test_schedule_validation():
         ScanSchedule(min_length=0)
 
 
-def test_bigint_path_agrees_with_numpy():
-    # same set, far beyond int64 in one copy
-    small = IntegerSet([1, 4, 9, 16, 300, 301], "sm")
-    shifted = IntegerSet([x + 10**30 for x in small.elements], "sh")
-    a = dimension_estimate(small)
-    b = dimension_estimate(shifted)
-    assert a.alpha_hat == b.alpha_hat
-    assert a.count == b.count
+_SHIFT = 10**30  # moves every element beyond int64, onto the object-array path
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(-40, 40), st.integers(-5000, 5000)),
+        min_size=2,
+        max_size=40,
+        unique=True,
+    ),
+    st.sampled_from([1, 2, 5, 30]),
+    st.sampled_from([Fr(0), Fr(1, 3), Fr(1, 2), Fr(1)]),
+)
+def test_bigint_path_agrees_with_numpy(xs, min_length, alpha):
+    small = IntegerSet(xs, "sm")
+    big = small.shift(_SHIFT)
+    schedule = ScanSchedule(min_length=min_length)
+
+    def agree(estimate, value):
+        """estimate's result on small (None if degenerate), checked against big."""
+        out = []
+        for E in (small, big):
+            try:
+                out.append(estimate(E))
+            except DegenerateSetError:
+                out.append(None)
+        a, b = out
+        if a is None:
+            assert b is None
+            return None
+        assert (value(b), b.count, b.length) == (value(a), a.count, a.length)
+        assert b.witness == Interval(a.witness.lo + _SHIFT, a.witness.hi + _SHIFT)
+        return value(a)
+
+    d = agree(lambda E: dimension_estimate(E, schedule), lambda r: r.alpha_hat)
+    brute = brute_dimension(small, min_length)
+    assert (brute == 0.0) if d is None else abs(float(d) - brute) < 1e-11
+    for a, estimate in (
+        (alpha, lambda E: alpha_measure_estimate(E, alpha, schedule)),
+        (1, lambda E: density_estimate(E, schedule)),
+    ):
+        m = agree(estimate, lambda r: r.value)
+        brute = brute_measure(small, float(a), min_length)
+        assert (brute == 0.0) if m is None else abs(float(m) - brute) <= 1e-9 * brute
+    agree(lambda E: sup_ratio(E, E.hull(), alpha, min_length=min_length), lambda r: r.value)
+
+    scale = 1
+    while scale <= 2 * small.hull().length:
+        a = _best_window_at_scale(small, scale, float(alpha))
+        b = _best_window_at_scale(big, scale, float(alpha))
+        if a is None:
+            assert b is None
+        else:
+            count, length, lo, hi = a
+            assert scale <= length < 2 * scale
+            assert b == (count, length, lo + _SHIFT, hi + _SHIFT)
+        scale *= 2
+
+
+def test_lengths_beyond_float_range():
+    # the long windows have lengths near 10**400, beyond float64
+    E = IntegerSet([0, 1, 10**400, 10**400 + 5], "huge")
+    d = dimension_estimate(E)
+    assert d.alpha_hat == 1 and d.witness == Interval(-1, 1)
+    m = alpha_measure_estimate(E, Fr(1, 2))
+    assert (m.count, m.witness) == (2, Interval(-1, 1))
+    assert m.value == ratio_value(2, 2, Fr(1, 2))
