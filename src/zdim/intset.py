@@ -188,12 +188,14 @@ def read_zset(path: str) -> IntegerSet:
 
     Format: first line "#zset v1", then optional "#provenance ..." and
     comment lines starting with "#", then one decimal integer per line
-    in strictly increasing order.  Violations raise ZsetFormatError with
-    the offending line number.
+    in strictly increasing order.  A UTF-8 byte order mark, CRLF line
+    endings, a leading "+" and blank or whitespace-only lines are
+    accepted.  Violations raise ZsetFormatError with the offending line
+    number.
     """
     elements: list[int] = []
     provenance = "unspecified"
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         first = fh.readline()
         if first.strip() != "#zset v1":
             raise ZsetFormatError("missing '#zset v1' header", 1)

@@ -6,6 +6,16 @@ endpoints), the exact expected collision count Delta over a lambda
 window (computed two independent ways), per-lambda collision
 histograms with their Cauchy-Schwarz bound, and randomized sweeps
 estimating the dimension of E + floor(lam*F) across a window.
+
+Delta runs on integer arrays, exactly.  delta_exact walks the pieces of
+every slope pair in chunks and reads its weights from the difference
+histogram of E; _delta_quadrature integrates the collision energy on its
+own histogram of a + floor(lam*b), one update per breakpoint.  Rational
+values are carried as integer numerators over known grids, and only a
+few Fractions are built at the end.  The int64 paths run only where a
+bound proves that no product leaves int64 (and the event order only
+where float keys are proven exact); object dtype, or a Fraction sort,
+takes over otherwise, with the same code.
 """
 
 from __future__ import annotations
@@ -17,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .arithmetic import (
     SizeGuardError,
     check_sum_pairs,
@@ -26,10 +38,11 @@ from .arithmetic import (
     grid_in_int64,
     sum_scaled,
 )
-from .intset import IntegerSet, Interval
+from .intset import _INT64_LIMIT, IntegerSet, Interval
 from .measures import ScanSchedule, dimension_estimate
 
 _OBJECT_GRID_PAIRS = 4_000_000  # largest grid histogrammed on Python ints
+_DELTA_CHUNK = 4096  # fine intervals per chunk of the route-one piece walk
 
 
 @dataclass(frozen=True)
@@ -214,10 +227,15 @@ def collision_stats(
 class DeltaReport:
     """Expected ordered collision count, integrated exactly over lam.
 
-    exact_value comes from summing per-pair window measures grouped by
-    slope pairs; quadrature_value re-derives it by integrating the
-    collision energy N(lam) across every breakpoint.  The two must
-    agree exactly; both are kept so each route checks the other.
+    Delta is the integral over the window of N(lam), the number of
+    ordered pairs of grid points (a, b), (a', b') with a + floor(lam*b)
+    = a' + floor(lam*b').  exact_value sums, over the slope pairs b' < b
+    of F, the measure on which the floor gap floor(lam*b) -
+    floor(lam*b') equals g, weighted by the number of differences
+    a' - a = g in E; quadrature_value integrates N(lam) itself across
+    every breakpoint of lam*F.  The two routes share nothing but the
+    input and must agree exactly; both are kept so each checks the
+    other (see delta_exact).
     """
 
     window: LambdaWindow
@@ -231,9 +249,80 @@ class DeltaReport:
         return self.exact_value == self.quadrature_value
 
 
-def _diff_histogram(E: IntegerSet) -> dict[int, int]:
-    values, counts = grid_histogram(E, E.reflect(), 1)
-    return dict(zip(values.tolist(), counts.tolist()))
+def _gap_counts(values: np.ndarray, counts: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """counts[i] where values[i] == gap, else 0, for each gap; values sorted."""
+    i = np.minimum(np.searchsorted(values, gaps), len(values) - 1)
+    return np.where(values[i] == gaps, counts[i], 0)
+
+
+def _slope_row(b2, bs, lo, hi, den, values, counts, gap_bound):
+    """Route one for the slope pairs (b2, b), b in bs, every b > b2.
+
+    Returns (grids, numerators, weight, breakpoints): pair p spends
+    numerators[p] / grids[p] of window measure on gaps g, each piece
+    weighted by its number of a-differences g; weight adds those numbers
+    over the distinct gaps each pair hits, and breakpoints counts the
+    inner cuts of all pairs.
+    """
+    m_fine = np.maximum(np.abs(bs), abs(b2))
+    m_coarse = np.minimum(np.abs(bs), abs(b2))
+    grid = np.lcm(np.lcm(m_fine, np.maximum(m_coarse, 1)), den)
+    fine = grid // m_fine
+    # a zero slope has no breakpoints: a coarse step equal to the fine one
+    # never splits a fine interval
+    coarse = np.where(m_coarse == 0, fine, grid // np.maximum(m_coarse, 1))
+    nlo = lo.numerator * (grid // lo.denominator)
+    nhi = hi.numerator * (grid // hi.denominator)
+    k0 = nlo // fine
+    nint = (-(-nhi // fine) - k0).astype(np.int64)  # fine intervals per pair
+    ends = np.cumsum(nint)
+    intervals = int(ends[-1])
+    num = np.zeros(len(bs), dtype=bs.dtype)
+    weight = splits = 0
+    span = 2 * gap_bound + 1
+    carry, carried = np.empty(0, bs.dtype), 0
+
+    def hit_weight(keys):
+        return int(_gap_counts(values, counts, keys % span - gap_bound).sum())
+
+    for start in range(0, intervals, _DELTA_CHUNK):
+        x = np.arange(start, min(start + _DELTA_CHUNK, intervals))
+        p = np.searchsorted(ends, x, side="right")
+        step = fine[p]
+        cut = (k0[p] + x - (ends[p] - nint[p])) * step
+        left = np.maximum(cut, nlo[p])
+        right = np.minimum(cut + step, nhi[p])
+        c = coarse[p]
+        mid = np.minimum((left // c + 1) * c, right)  # the coarse cut, else right
+        b, two_grid = bs[p], 2 * grid[p]
+        ga = ((left + mid) * b) // two_grid - ((left + mid) * b2) // two_grid
+        gb = ((mid + right) * b) // two_grid - ((mid + right) * b2) // two_grid
+        la, lb = mid - left, right - mid
+        ca = _gap_counts(values, counts, ga)
+        cb = _gap_counts(values, counts, gb)
+        first = np.flatnonzero(np.diff(p, prepend=-1))
+        num[p[first]] += np.add.reduceat(ca * la + cb * lb, first)
+        splits += int(np.count_nonzero(lb))
+        # distinct (pair, gap) hits by sort-and-mask on the key
+        # p*span + g + gap_bound; carried keys were counted in the last chunk
+        key = p * span + gap_bound
+        ha, hb = ca > 0, (cb > 0) & (lb > 0)
+        keys = np.sort(np.concatenate((carry, key[ha] + ga[ha], key[hb] + gb[hb])))
+        new = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        keys = keys[new]
+        weight += hit_weight(keys) - carried
+        last = p[-1]
+        if x[-1] + 1 < ends[last]:
+            # the pair goes on past lam* = right/grid; every gap lies
+            # strictly within 1 of lam*(b - b2), so only its hits of at
+            # least floor(lam* (b - b2)) can recur
+            floor_gap = right[-1] * (bs[last] - b2) // grid[last]
+            carry = keys[keys >= last * span + floor_gap + gap_bound]
+            carried = hit_weight(carry)
+        else:
+            carry, carried = carry[:0], 0
+    return grid, num, weight, intervals - len(bs) + splits
 
 
 def delta_exact(
@@ -241,13 +330,27 @@ def delta_exact(
 ) -> DeltaReport:
     """Integrate the ordered collision count over the lambda window.
 
-    Route one: group ordered pairs by slopes (b, b'), walk the integer
-    breakpoint grid of each group once, and weight piece lengths by the
-    number of a-differences realizing each floor gap.  Route two:
-    sweep all breakpoints of lam*b for b in F, maintaining the
-    collision histogram and its energy N incrementally, and accumulate
-    piecewise-constant N against piece lengths.  Exact rational
-    arithmetic throughout; the report carries both values.
+    The diagonal z == z' gives |E||F| times the window measure.  Route
+    one adds twice the measure of every slope pair b' < b of F, walked
+    one row (fixed b') at a time and in chunks of _DELTA_CHUNK fine
+    intervals.  On the integer grid lcm(|b|, |b'|, window denominators)
+    the breakpoints of lam*b and lam*b' are the multiples of grid/|b|
+    and grid/|b'|.  The larger slope gives the fine step; a fine
+    interval is no longer than the coarse step, so it holds at most one
+    coarse breakpoint, and the pieces are the fine intervals split at
+    most once, built by arange arithmetic with no sort.  The floor gap
+    g of a piece is evaluated in integers at its midpoint, and the
+    number of ordered pairs with a' - a = g is looked up in the sorted
+    difference histogram grid_histogram(E, -E, 1).  Piece lengths times
+    counts are summed per pair (int64 when a bound on every grid
+    product, taken from F, |E| and the window, is below 2**62, object
+    dtype otherwise), grouped by grid and added as Fractions.
+
+    Route two, _delta_quadrature, integrates the collision energy
+    across every breakpoint of lam*F on its own histogram of
+    a + floor(lam*b).  Both are exact; the report carries both values.
+    positive_pairs counts ordered pairs whose collision set has positive
+    measure and breakpoint_count the inner cuts of route one.
     """
     if len(E) == 0 or len(F) == 0:
         raise ValueError("empty set")
@@ -258,90 +361,118 @@ def delta_exact(
             "restrict windows or raise max_pairs"
         )
     lo, hi = window.lo, window.hi
-    diffs = _diff_histogram(E) if len(F) > 1 else {}  # read per pair of slopes only
+    fvals = F.elements
     total = Fraction(pairs) * window.measure  # z == z' diagonal
     positive = pairs
     breakpoints = 0
-    fvals = F.elements
-    for i in range(len(fvals)):
-        for j in range(i + 1, len(fvals)):
-            b2, b = fvals[i], fvals[j]  # b > b2
-            grid = _lcm(abs(b), abs(b2), lo.denominator, hi.denominator)
-            nlo = lo.numerator * (grid // lo.denominator)
-            nhi = hi.numerator * (grid // hi.denominator)
-            cuts = {nlo, nhi}
-            for m in (abs(b), abs(b2)):
-                if m == 0:
-                    continue
-                step = grid // m
-                first = (nlo // step + 1) * step
-                cuts.update(range(first, nhi, step))
-            marks = sorted(cuts)
-            breakpoints += len(marks) - 2 if len(marks) > 2 else 0
-            # walk pieces once, accumulating integer lengths per floor gap
-            lengths: dict[int, int] = {}
-            for left, right in zip(marks, marks[1:]):
-                two_mid = left + right
-                g = (two_mid * b) // (2 * grid) - (two_mid * b2) // (2 * grid)
-                if g in diffs:
-                    lengths[g] = lengths.get(g, 0) + (right - left)
-            if lengths:
-                num = sum(diffs[g] * L for g, L in lengths.items())
-                total += 2 * Fraction(num, grid)
-                positive += 2 * sum(diffs[g] for g in lengths)
+    if len(fvals) > 1:  # the differences are read per pair of slopes only
+        bmax = max(abs(fvals[0]), abs(fvals[-1]))
+        den = _lcm(lo.denominator, hi.denominator)
+        gap_bound = math.floor(2 * bmax * hi) + 1  # |g| < lam*|b - b'| + 1
+        # grids are at most bmax**2 * den: this bounds every product of
+        # the walk, and the hit keys are below |F| * (2*gap_bound + 1)
+        fits = (
+            2 * max(hi, 1) * bmax**2 * den * max(bmax, len(E)) < _INT64_LIMIT
+            and len(fvals) * (2 * gap_bound + 1) < _INT64_LIMIT
+        )
+        dtype = np.int64 if fits else object
+        values, counts = grid_histogram(E, E.reflect(), 1)
+        keep = (values >= -gap_bound) & (values <= gap_bound)
+        values, counts = values[keep].astype(dtype), counts[keep].astype(dtype)
+        f = np.array(fvals, dtype=dtype)
+        by_grid: dict[int, int] = {}
+        for i in range(len(fvals) - 1):
+            grids, nums, weight, cuts = _slope_row(
+                fvals[i], f[i + 1 :], lo, hi, den, values, counts, gap_bound
+            )
+            positive += 2 * weight
+            breakpoints += cuts
+            for g, n in zip(grids.tolist(), nums.tolist()):
+                if n:
+                    by_grid[g] = by_grid.get(g, 0) + n
+        total += 2 * sum((Fraction(n, g) for g, n in by_grid.items()), Fraction(0))
     quad = _delta_quadrature(E, F, window)
     return DeltaReport(window, total, quad, positive, breakpoints)
 
 
 def _delta_quadrature(E: IntegerSet, F: IntegerSet, window: LambdaWindow) -> Fraction:
+    """Route two of delta_exact: integrate the collision energy N(lam).
+
+    N is constant between the events t = k/|b| (b in F, lo < t < hi),
+    where lam*b crosses an integer.  Events are sorted on the float key
+    k/|b| when hi * max|b|**2 < 2**52: distinct events then differ by at
+    least 1/max|b|**2, more than twice the rounding error of a key, and
+    equal events round alike, so the order is exact; otherwise they are
+    sorted as Fractions.  The histogram of a + floor(lam*b) is kept on
+    int64 counters in compressed coordinates: the values of a stay in
+    [a + fmin, a + fmax], and merging these intervals over sorted E
+    numbers them contiguously however large E's elements are.  An event
+    moves the |E| values a + floor(lam*b) of one b by one; removing the
+    old ones, then adding the new ones (each duplicate-free) changes N
+    by 2*(sum h_new - sum h_old) + 2|E|.  By Abel summation the integral
+    is hi*N_end - lo*N_start - sum over events of t*dN, and grouping
+    t*dN = k*dN/|b| by b leaves one integer and one Fraction per slope.
+    """
     lo, hi = window.lo, window.hi
-    events: dict[Fraction, list[int]] = {}
-    for b in F.elements:
-        if b == 0:
-            continue
-        ab = abs(b)
-        k = math.floor(lo * ab) + 1
-        top = hi * ab
-        while k <= top:
-            t = Fraction(k, ab)
-            if lo < t < hi:
-                events.setdefault(t, []).append(b)
-            k += 1
-    marks = sorted(events)
-    first = marks[0] if marks else hi
+    fvals = F.elements
+    slopes = [abs(b) for b in fvals]
+    firsts = [math.floor(lo * m) + 1 for m in slopes]
+    counts = [math.ceil(hi * m) - k if m else 0 for m, k in zip(slopes, firsts)]
+    float_keys = hi * max(slopes) ** 2 < 1 << 52
+    owner = np.repeat(np.arange(len(fvals)), counts)
+    ks = np.array(firsts, dtype=np.int64 if float_keys else object)[owner]
+    ks += np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+    if float_keys:
+        order = np.argsort(ks / np.array(slopes)[owner], kind="stable")
+    else:
+        order = sorted(range(len(ks)), key=lambda e: Fraction(ks[e], slopes[owner[e]]))
+    ks, owner = ks[order].tolist(), owner[order].tolist()
+    first = Fraction(ks[0], slopes[owner[0]]) if ks else hi
     mid = (lo + first) / 2
-    floors = {b: (mid.numerator * b) // mid.denominator for b in F.elements}
-    hist: dict[int, int] = {}
-    for b in F.elements:
-        fb = floors[b]
-        for a in E.elements:
-            v = a + fb
-            hist[v] = hist.get(v, 0) + 1
-    energy = sum(c * c for c in hist.values())
-    quad = Fraction(0)
-    prev = lo
-    for t in marks:
-        quad += (t - prev) * energy
-        for b in events[t]:
-            stepv = 1 if b > 0 else -1
-            old = floors[b]
-            new = old + stepv
-            floors[b] = new
-            for a in E.elements:
-                v = a + old
-                c = hist[v]
-                energy -= 2 * c - 1
-                if c == 1:
-                    del hist[v]
-                else:
-                    hist[v] = c - 1
-                w = a + new
-                c = hist.get(w, 0)
-                energy += 2 * c + 1
-                hist[w] = c + 1
-        prev = t
-    quad += (hi - prev) * energy
-    return quad
+    floors = [(mid.numerator * b) // mid.denominator for b in fvals]
+    steps = [1 if b > 0 else -1 for b in fvals]
+    lasts = [f + s * c for f, s, c in zip(floors, steps, counts)]
+    lows = [min(f, l) for f, l in zip(floors, lasts)]
+    highs = [max(f, l) for f, l in zip(floors, lasts)]
+    wide = E._np_view() is None or max(-min(lows), max(highs)) >= _INT64_LIMIT
+    dtype = object if wide else np.int64
+    # the value intervals [a + low_b, a + high_b] of the pairs (a, b),
+    # merged in order of their starts into blocks numbered contiguously
+    col = E._array().astype(dtype)[:, None]
+    starts = (col + np.array(lows, dtype)).ravel()
+    order = np.argsort(starts, kind="stable")
+    starts = starts[order]
+    reach = np.maximum.accumulate((col + np.array(highs, dtype)).ravel()[order] + 1)
+    new_block = np.ones(len(starts), dtype=bool)
+    np.greater(starts[1:], reach[:-1], out=new_block[1:])
+    heads = np.flatnonzero(new_block)
+    sizes = (reach[np.append(heads[1:], len(starts)) - 1] - starts[heads]).astype(np.int64)
+    block = np.cumsum(new_block) - 1
+    at = np.empty(len(starts), dtype=np.int64)
+    at[order] = (np.cumsum(sizes) - sizes)[block] + (starts - starts[heads][block]).astype(
+        np.int64
+    )
+    # counter rows: row j holds the counters of a + floor(lam*b_j), a in E
+    shift = np.array([f - l for f, l in zip(floors, lows)], dtype=np.int64)
+    cur = np.ascontiguousarray(at.reshape(len(E), len(fvals)).T) + shift[:, None]
+    hist = np.bincount(cur.ravel(), minlength=int(sizes.sum()))
+    start_energy = energy = int(hist @ hist)
+    two_e = 2 * len(E)
+    weighted = [0] * len(fvals)  # sum of k * dN over the events of each b
+    for k, j in zip(ks, owner):
+        old = cur[j]
+        new = old + steps[j]
+        h = hist[old]
+        hist[old] = h - 1
+        h2 = hist[new]
+        hist[new] = h2 + 1
+        d = 2 * int(np.add.reduce(h2 - h)) + two_e
+        weighted[j] += k * d
+        energy += d
+        cur[j] = new
+    return hi * energy - lo * start_energy - sum(
+        (Fraction(w, m) for w, m in zip(weighted, slopes) if w), Fraction(0)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ prescribed exponent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -279,6 +280,18 @@ def _best_window_at_scale(
     return best[1:]
 
 
+def _rung_ratio(count: int, length: int, alpha: float) -> float:
+    """count * length**-alpha of a ladder rung.
+
+    A length that float() cannot hold (it rounds to 2**1024 or more)
+    counts as inf, as in the window scans.
+    """
+    try:
+        return count * length ** (-alpha)
+    except OverflowError:
+        return count * math.inf ** (-alpha)
+
+
 def _ladder_scales(E: IntegerSet, max_scale: Optional[int]) -> list[int]:
     hull = E.hull().length
     top = max_scale if max_scale is not None else hull
@@ -323,7 +336,7 @@ def regularity_diagnostic(
             rungs.append(LadderRung(scale, None, 0, 0.0, False))
             continue
         count, length, lo, hi = got
-        r = count * length ** (-af)
+        r = _rung_ratio(count, length, af)
         rungs.append(LadderRung(scale, Interval(lo - 1, hi), count, r, True))
         if r > best_r:
             best_r = r
@@ -455,7 +468,7 @@ def universality_check(
             rungs.append(LadderRung(scale, None, 0, 0.0, False))
             continue
         count, length, lo, hi = got
-        r = count * length ** (-da)
+        r = _rung_ratio(count, length, da)
         rungs.append(
             LadderRung(scale, Interval(lo - 1, hi), count, r, r >= float(c) - 1e-9)
         )

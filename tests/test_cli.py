@@ -167,6 +167,12 @@ def test_diagnose_modes(tmp_path, capsys):
     assert rep["rungs"]
     assert isinstance(rep["all_pass"], bool)
 
+    huge = tmp_path / "huge.zset"  # ladder windows beyond the float range
+    huge.write_text("#zset v1\n0\n1\n" + f"{10**400}\n{10**400 + 5}\n")
+    code, out, _ = run(capsys, "diagnose", str(huge))
+    assert code == 0
+    assert json.loads(out)["ladder"][-1]["ratio"] == 0.0
+
 
 def test_collide_histogram_and_delta(tmp_path, capsys):
     a = tmp_path / "a.zset"

@@ -1,7 +1,7 @@
 """IntegerSet container and .zset persistence."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zdim.intset import IntegerSet, Interval, ZsetFormatError, read_zset, write_zset
 
@@ -68,6 +68,37 @@ def test_zset_roundtrip(tmp_path):
     F = read_zset(str(p))
     assert F.elements == E.elements
     assert F.provenance == "roundtrip demo"
+
+
+_PROVENANCE = st.text(st.sampled_from("ab λ(),/+-_09"), min_size=1).map(str.strip).filter(bool)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.integers(-(10**30), 10**30), max_size=30),
+    _PROVENANCE,
+    st.booleans(),
+    st.booleans(),
+    st.data(),
+)
+def test_zset_roundtrip_tolerant_reader(tmp_path_factory, xs, prov, bom, crlf, data):
+    E = IntegerSet(xs, prov)
+    p = tmp_path_factory.mktemp("z") / "a.zset"
+    write_zset(E, str(p))
+    lines = ["#zset v1", f"#provenance {prov}"] + [str(x) for x in E.elements]
+    assert p.read_bytes() == "".join(f"{line}\n" for line in lines).encode("utf-8")
+    # the same set as another tool may write it: a BOM, CRLF line
+    # endings, "+5", blank and whitespace-only lines
+    body = []
+    for x in E.elements:
+        body.append(f"+{x}" if x >= 0 and data.draw(st.booleans()) else str(x))
+        body += data.draw(st.lists(st.sampled_from(["", " ", "\t", "  \t "]), max_size=2))
+    eol = "\r\n" if crlf else "\n"
+    text = "".join(f"{line}{eol}" for line in lines[:2] + body)
+    p.write_bytes(("\ufeff" if bom else "").encode("utf-8") + text.encode("utf-8"))
+    F = read_zset(str(p))
+    assert F.elements == E.elements
+    assert F.provenance == prov
 
 
 def test_zset_rejects_bad_header(tmp_path):

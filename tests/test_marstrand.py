@@ -1,7 +1,8 @@
 """Collision windows, exact double counting, and dimension sweeps.
 
 pair_window and delta_exact both get brute-force cross-checks on small
-random instances; the two delta routes must agree exactly, always.
+random instances; the two delta routes must agree exactly, always, and
+each equals the pure-Python oracle below.
 """
 
 import math
@@ -9,8 +10,9 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import zdim.marstrand as marstrand
 from zdim.intset import IntegerSet, Interval
 from zdim.marstrand import (
     LambdaWindow,
@@ -40,6 +42,79 @@ def brute_delta(E, F, window, grid=40_000):
                 hist[v] = hist.get(v, 0) + 1
         total += sum(c * c for c in hist.values())
     return float(total) / grid * float(width)
+
+
+def oracle_delta(E, F, window):
+    """Delta by a per-breakpoint walk and a Fraction quadrature.
+
+    Returns (exact, quadrature, positive pairs, breakpoints) as
+    delta_exact reports them.  Route one walks the sorted breakpoints of
+    each slope pair one piece at a time and weights piece lengths by the
+    number of differences a' - a equal to the floor gap; route two
+    integrates the collision energy between the sorted events k/|b|,
+    updating a dict histogram one element at a time.
+    """
+    lo, hi = window.lo, window.hi
+    diffs = {}
+    for a in E.elements:
+        for a2 in E.elements:
+            diffs[a2 - a] = diffs.get(a2 - a, 0) + 1
+    pairs = len(E) * len(F)
+    total = Fr(pairs) * window.measure
+    positive = pairs
+    breakpoints = 0
+    fvals = F.elements
+    for i in range(len(fvals)):
+        for j in range(i + 1, len(fvals)):
+            b2, b = fvals[i], fvals[j]
+            grid = math.lcm(abs(b) or 1, abs(b2) or 1, lo.denominator, hi.denominator)
+            nlo = lo.numerator * (grid // lo.denominator)
+            nhi = hi.numerator * (grid // hi.denominator)
+            cuts = {nlo, nhi}
+            for m in (abs(b), abs(b2)):
+                if m:
+                    step = grid // m
+                    cuts.update(range((nlo // step + 1) * step, nhi, step))
+            marks = sorted(cuts)
+            breakpoints += len(marks) - 2
+            lengths = {}
+            for left, right in zip(marks, marks[1:]):
+                two_mid = left + right
+                g = (two_mid * b) // (2 * grid) - (two_mid * b2) // (2 * grid)
+                if g in diffs:
+                    lengths[g] = lengths.get(g, 0) + (right - left)
+            total += 2 * Fr(sum(diffs[g] * n for g, n in lengths.items()), grid)
+            positive += 2 * sum(diffs[g] for g in lengths)
+
+    events = {}
+    for b in fvals:
+        for k in range(math.floor(lo * abs(b)) + 1, math.ceil(hi * abs(b))):
+            events.setdefault(Fr(k, abs(b)), []).append(b)
+    marks = sorted(events)
+    mid = (lo + (marks[0] if marks else hi)) / 2
+    floors = {b: (mid.numerator * b) // mid.denominator for b in fvals}
+    hist = {}
+    for b in fvals:
+        for a in E.elements:
+            hist[a + floors[b]] = hist.get(a + floors[b], 0) + 1
+    energy = sum(c * c for c in hist.values())
+    quad, prev = Fr(0), lo
+    for t in marks:
+        quad += (t - prev) * energy
+        for b in events[t]:
+            old = floors[b]
+            floors[b] = old + (1 if b > 0 else -1)
+            for a in E.elements:
+                c = hist.pop(a + old)
+                energy -= 2 * c - 1
+                if c > 1:
+                    hist[a + old] = c - 1
+                c = hist.get(a + floors[b], 0)
+                energy += 2 * c + 1
+                hist[a + floors[b]] = c + 1
+        prev = t
+    quad += (hi - prev) * energy
+    return total, quad, positive, breakpoints
 
 
 def test_lambda_window_validation():
@@ -159,6 +234,56 @@ def test_delta_riemann_corridor():
     approx = brute_delta(E, F, w)
     # the grid midpoints miss only measure-zero breakpoints
     assert abs(approx - float(rep.exact_value)) < 0.05 * max(1.0, approx)
+
+
+_WINDOW_ENDS = st.fractions(min_value=Fr(1, 10), max_value=3, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-60, 60), min_size=1, max_size=10),
+    st.lists(st.integers(-40, 40), min_size=1, max_size=8),
+    st.booleans(),
+    st.sampled_from([0, 10**30]),
+    st.sampled_from([0, 10**15]),
+    _WINDOW_ENDS,
+    _WINDOW_ENDS,
+)
+@example([27], [-24, -25], False, 0, 10**15, Fr(1), Fr(1))  # float keys order it wrong
+def test_delta_routes_match_oracle(xs, ys, zero, shift, far, lo, width):
+    # E + 10**30 leaves int64.  far = 10**15 puts the window where the
+    # float keys k/|b| of distinct events tie, and makes E span far so that
+    # slopes one apart collide there: route two must sort its events
+    # exactly; route one runs in object dtype
+    E = IntegerSet([x + shift + d for x in xs for d in {0, far}], "e")
+    F = IntegerSet(ys + [0] * zero, "f")
+    w = LambdaWindow(far + lo, far + lo + width)
+    want = oracle_delta(E, F, w)
+    assert want[0] == want[1]
+    for chunk in (marstrand._DELTA_CHUNK, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(marstrand, "_DELTA_CHUNK", chunk)
+            rep = delta_exact(E, F, w)
+        got = (rep.exact_value, rep.quadrature_value, rep.positive_pairs, rep.breakpoint_count)
+        assert got == want, chunk
+        assert [type(v) for v in got] == [Fr, Fr, int, int]  # JSON-ready
+
+
+def test_delta_exact_calls_quadrature_through_module_global(monkeypatch):
+    # perfbench/tracing.py wraps both names to split the two routes'
+    # time; delta_exact must look _delta_quadrature up at call time
+    calls = []
+    quadrature = marstrand._delta_quadrature
+
+    def spy(*args):
+        calls.append(args)
+        return quadrature(*args)
+
+    monkeypatch.setattr(marstrand, "_delta_quadrature", spy)
+    E, F = IntegerSet([0, 1, 5], "e"), IntegerSet([0, 2, 3], "f")
+    rep = marstrand.delta_exact(E, F, LambdaWindow(Fr(1), Fr(2)))
+    assert calls == [(E, F, rep.window)]
+    assert rep.agreement
 
 
 def test_delta_size_guard():

@@ -135,6 +135,23 @@ def test_universality_squares_true():
     assert all(r.ok for r in rep.rungs)
 
 
+def test_ladders_beyond_float_range():
+    # windows of length 2**1024 or more count as length inf, as in the
+    # window scans, so their rung ratio is count * inf**-1 = 0
+    E = IntegerSet([0, 1, 10**400, 10**400 + 5], "huge")
+    reg = regularity_diagnostic(E)
+    uni = universality_check(E)
+    assert reg.dimension.alpha_hat == 1
+    for rungs in (reg.ladder, uni.rungs):
+        found = [r for r in rungs if r.witness is not None]
+        assert found[0].count == 2 and found[0].ratio == 2 * 6 ** -1.0
+        assert any(r.witness.length >= 2**1024 for r in found)
+        for r in found:
+            want = r.count * r.witness.length ** -1.0 if r.witness.length < 2**1024 else 0.0
+            assert r.ratio == want
+    assert reg.measure.count == 2 and reg.measure.witness.length == 6
+
+
 def test_universality_fails_beyond_hull():
     # one dense block then nothing: large scales have no full-rate window
     E = IntegerSet(range(100), "block")
