@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .intset import _INT64_LIMIT, IntegerSet
+from .intset import _INT64_LIMIT, IntegerSet, _run_starts
 
 _BYTE_BUDGET = 150_000_000  # working memory of one array route, in bytes
 _SORT_PAIR_BYTES = 40  # sums, run mask, order and gathered copies, per pair
@@ -64,10 +64,7 @@ def _runs(vals: np.ndarray, weights: Optional[np.ndarray] = None):
 
     Without weights each element counts once.
     """
-    start = np.empty(len(vals), dtype=bool)
-    start[0] = True
-    np.not_equal(vals[1:], vals[:-1], out=start[1:])
-    idx = np.flatnonzero(start)
+    idx = np.flatnonzero(_run_starts(vals))
     if weights is None:
         return vals[idx], np.diff(idx, append=len(vals))
     return vals[idx], np.add.reduceat(weights, idx)
@@ -165,9 +162,10 @@ def grid_histogram(E: IntegerSet, F: IntegerSet, lam) -> tuple[np.ndarray, np.nd
     floors = None if xe is None else _int64_floors(F, p, q)
     if floors is None:
         hist: dict[int, int] = {}
-        for b in F.elements:
+        xs = E._array().tolist()
+        for b in F:
             fb = p * b // q
-            for a in E.elements:
+            for a in xs:
                 v = a + fb
                 hist[v] = hist.get(v, 0) + 1
         keys = sorted(hist)
@@ -208,7 +206,7 @@ def floor_scale(E: IntegerSet, lam) -> IntegerSet:
     floors = _int64_floors(E, p, q)
     if floors is not None:
         return IntegerSet.from_sorted_array(floors[0], prov)
-    out = sorted({(x * p) // q for x in E.elements})
+    out = sorted({(x * p) // q for x in E})
     return IntegerSet.from_sorted(tuple(out), prov)
 
 

@@ -247,8 +247,7 @@ def cantor_set(
             if not frontier:
                 break
             collected.extend(frontier.values())
-        allvals = np.unique(np.concatenate(collected))
-        return IntegerSet.from_sorted(tuple(allvals.tolist()), prov)
+        return IntegerSet(np.concatenate(collected), prov)
 
     frontier_py: dict[int, list[int]] = {s: [dig[s]] for s in usable}
     seen: set[int] = set()
@@ -340,15 +339,14 @@ def ip_set(params: IPParameters) -> IntegerSet:
         for k, d in zip(ks, ds):
             vals = (vals[:, None] + (np.arange(k, dtype=np.int64) * d)[None, :]).ravel()
         vals.sort()
-        elements = tuple(vals.tolist())
     else:
         acc = [0]
         for k, d in zip(ks, ds):
             acc = [v + c * d for v in acc for c in range(k)]
-        elements = tuple(sorted(acc))
-    assert len(elements) == expected, "gap condition must force injectivity"
-    return IntegerSet.from_sorted(
-        elements, f"ip(k={ks}, d={ds}, depth={params.depth})"
+        vals = np.array(sorted(acc), dtype=object)
+    assert len(vals) == expected, "gap condition must force injectivity"
+    return IntegerSet.from_sorted_array(
+        vals, f"ip(k={ks}, d={ds}, depth={params.depth})"
     )
 
 
@@ -368,8 +366,8 @@ def integer_resonant_set(alpha, depth: int) -> IntegerSet:
     ks = tuple(2**n for n in range(1, depth + 1))
     ds = tuple(iroot(2 ** (n * n * q), 2 * p) for n in range(1, depth + 1))
     E = ip_set(IPParameters(ks, ds, depth))
-    return IntegerSet.from_sorted(
-        E.elements, f"resonant(alpha={a}, depth={depth})"
+    return IntegerSet.from_sorted_array(
+        E._array(), f"resonant(alpha={a}, depth={depth})"
     )
 
 
@@ -389,9 +387,7 @@ def random_walk_zeros(seed: int, n_steps: int) -> IntegerSet:
     steps = rng.integers(0, 2, size=n_steps, dtype=np.int64) * 2 - 1
     walk = np.cumsum(steps)
     zeros = np.flatnonzero(walk == 0) + 1
-    return IntegerSet.from_sorted(
-        tuple(zeros.tolist()), f"walk(seed={seed}, steps={n_steps})"
-    )
+    return IntegerSet.from_sorted_array(zeros, f"walk(seed={seed}, steps={n_steps})")
 
 
 # ---------------------------------------------------------------------------

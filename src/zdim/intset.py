@@ -9,13 +9,21 @@ The half-open-left convention makes the length of ``(lo, hi]`` exactly
 ``hi - lo``, the number of integers it contains, which keeps counting
 arguments clean: chopping ``(a, c]`` at ``b`` gives ``(a, b]`` and
 ``(b, c]`` with lengths adding up.
+
+An ``IntegerSet`` stores one sorted numpy array: int64 while every
+element lies strictly within +-``_INT64_LIMIT``, object dtype of Python
+ints beyond, so the numpy routes and the big-integer routes read the
+same storage.  The tuple ``elements`` is built on first access only.
+``.zset`` files are written in blocks and read in chunks of lines
+parsed whole into arrays; a line loop handles comments, blank lines
+and every format error.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -61,126 +69,223 @@ class Interval:
         return f"({self.lo}, {self.hi}]"
 
 
+def _int_array(xs: list) -> np.ndarray:
+    """Python ints as an int64 array, or object dtype when one leaves int64."""
+    try:
+        return np.array(xs, dtype=np.int64)
+    except OverflowError:
+        return np.array(xs, dtype=object)
+
+
+def _run_starts(xs: np.ndarray) -> np.ndarray:
+    """Mask of the elements of a sorted nonempty array unequal to the one before."""
+    start = np.empty(len(xs), dtype=bool)
+    start[0] = True
+    np.not_equal(xs[1:], xs[:-1], out=start[1:])
+    return start
+
+
+def _fit(xs: np.ndarray) -> np.ndarray:
+    """A sorted array in its storage dtype, read-only.
+
+    int64 when every element lies strictly within +-_INT64_LIMIT (the
+    empty set included), object dtype of Python ints otherwise.
+    """
+    if len(xs) == 0:
+        xs = np.empty(0, dtype=np.int64)
+    else:
+        fits = -_INT64_LIMIT < xs[0] and xs[-1] < _INT64_LIMIT
+        dtype = np.dtype(np.int64) if fits else np.dtype(object)
+        if xs.dtype != dtype:
+            xs = xs.astype(dtype)
+    xs.flags.writeable = False
+    return xs
+
+
 class IntegerSet:
     """Finite sorted set of integers with provenance.
 
-    Storage is a plain tuple of Python ints, so arbitrarily large
-    elements work.  When all elements fit comfortably in int64 a numpy
-    view is built lazily for the vectorized routes; the window scans
-    read an object array of the Python ints otherwise.
+    Storage is one sorted, duplicate-free, read-only numpy array: int64
+    when every element lies strictly within +-_INT64_LIMIT, object dtype
+    of Python ints otherwise, so arbitrarily large elements work and the
+    vectorized routes read the int64 array as it is.  ``elements``, the
+    tuple of Python ints, is built on first access only.
     """
 
-    __slots__ = ("elements", "provenance", "_np")
+    __slots__ = ("_xs", "_tuple", "provenance")
 
     def __init__(self, elements: Iterable[int], provenance: str = "unspecified"):
-        xs = sorted(set(int(x) for x in elements))
-        self.elements: tuple[int, ...] = tuple(xs)
+        if isinstance(elements, np.ndarray) and elements.dtype.kind == "i":
+            xs = elements.astype(np.int64).ravel()
+        else:
+            xs = _int_array([int(x) for x in elements])
+        xs.sort()
+        if len(xs):  # sort-and-mask dedup, not np.unique's hash path
+            xs = xs[_run_starts(xs)]
+        self._xs = _fit(xs)
+        self._tuple: Optional[tuple[int, ...]] = None
         self.provenance = provenance
-        self._np: Optional[np.ndarray] = None
 
     @classmethod
-    def from_sorted(cls, elements: tuple[int, ...], provenance: str) -> "IntegerSet":
+    def from_sorted(cls, elements: Sequence[int], provenance: str) -> "IntegerSet":
         """Trusted constructor: elements must already be sorted and unique."""
-        obj = cls.__new__(cls)
-        obj.elements = elements
-        obj.provenance = provenance
-        obj._np = None
-        return obj
+        return cls.from_sorted_array(_int_array(list(elements)), provenance)
 
     @classmethod
     def from_sorted_array(cls, values: np.ndarray, provenance: str) -> "IntegerSet":
         """Trusted constructor from a sorted, duplicate-free array.
 
-        An int64 array within the view's range is kept as the int64
-        view, so the vectorized scans need not convert the elements back.
+        An int64 array within +-_INT64_LIMIT is kept as it is (and made
+        read-only), so the vectorized scans need not convert it back.
         """
-        obj = cls.from_sorted(tuple(values.tolist()), provenance)
-        if (
-            values.dtype == np.int64
-            and len(values)
-            and -_INT64_LIMIT < values[0]
-            and values[-1] < _INT64_LIMIT
-        ):
-            obj._np = values
+        obj = cls.__new__(cls)
+        obj._xs = _fit(values)
+        obj._tuple = None
+        obj.provenance = provenance
         return obj
 
+    @property
+    def elements(self) -> tuple[int, ...]:
+        """The elements as a tuple of Python ints, built on first access."""
+        if self._tuple is None:
+            self._tuple = tuple(self._xs.tolist())
+        return self._tuple
+
     def _np_view(self) -> Optional[np.ndarray]:
-        """int64 view of the elements, or None if they don't fit."""
-        if self._np is None and self.elements:
-            if -_INT64_LIMIT < self.elements[0] and self.elements[-1] < _INT64_LIMIT:
-                self._np = np.asarray(self.elements, dtype=np.int64)
-        return self._np
+        """The int64 element array, or None if empty or beyond int64."""
+        xs = self._xs
+        return xs if len(xs) and xs.dtype != object else None
 
     def _array(self) -> np.ndarray:
-        """The elements as an array: the int64 view, else object dtype."""
-        xs = self._np_view()
-        return xs if xs is not None else np.array(self.elements, dtype=object)
+        """The element array: int64, or object dtype beyond int64."""
+        return self._xs
+
+    def _rank(self, x: int, side: str = "right") -> int:
+        """np.searchsorted of x in the elements, for any Python int x."""
+        xs = self._xs
+        if xs.dtype != object:
+            # every element lies strictly inside, so clamping keeps the
+            # rank, and the search in int64 (numpy would go to object dtype)
+            x = min(max(x, -_INT64_LIMIT), _INT64_LIMIT)
+        return int(np.searchsorted(xs, x, side=side))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._xs)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
+        return iter(self._xs.tolist())
 
     def __contains__(self, x: int) -> bool:
-        i = bisect.bisect_left(self.elements, x)
-        return i < len(self.elements) and self.elements[i] == x
+        i = self._rank(x, "left")
+        return i < len(self._xs) and bool(self._xs[i] == x)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IntegerSet):
             return NotImplemented
-        return self.elements == other.elements
+        # the storage dtype is a function of the elements
+        return self._xs.dtype == other._xs.dtype and np.array_equal(self._xs, other._xs)
 
     def __hash__(self) -> int:
-        return hash(self.elements)
+        if self._xs.dtype == object:
+            return hash(self.elements)
+        return hash(self._xs.tobytes())
 
     def __repr__(self) -> str:
-        n = len(self.elements)
+        n = len(self._xs)
         if n <= 6:
-            body = ", ".join(str(x) for x in self.elements)
+            body = ", ".join(map(str, self._xs.tolist()))
         else:
-            head = ", ".join(str(x) for x in self.elements[:3])
-            tail = ", ".join(str(x) for x in self.elements[-2:])
+            head = ", ".join(map(str, self._xs[:3].tolist()))
+            tail = ", ".join(map(str, self._xs[-2:].tolist()))
             body = f"{head}, ..., {tail}"
         return f"IntegerSet({{{body}}}, n={n}, provenance={self.provenance!r})"
 
     def count_in(self, interval: Interval) -> int:
         """Number of elements in (lo, hi]."""
-        j = bisect.bisect_right(self.elements, interval.hi)
-        i = bisect.bisect_right(self.elements, interval.lo)
-        return j - i
+        return self._rank(interval.hi) - self._rank(interval.lo)
 
     def restrict(self, interval: Interval) -> "IntegerSet":
-        i = bisect.bisect_right(self.elements, interval.lo)
-        j = bisect.bisect_right(self.elements, interval.hi)
-        return IntegerSet.from_sorted(
-            self.elements[i:j], f"restrict({self.provenance}, {interval})"
+        i, j = self._rank(interval.lo), self._rank(interval.hi)
+        return IntegerSet.from_sorted_array(
+            self._xs[i:j], f"restrict({self.provenance}, {interval})"
         )
 
     def shift(self, c: int) -> "IntegerSet":
-        return IntegerSet.from_sorted(
-            tuple(x + c for x in self.elements), f"shift({self.provenance}, {c:+d})"
+        xs = self._xs
+        if len(xs) and xs.dtype != object and not (
+            -_INT64_LIMIT < int(xs[0]) + c and int(xs[-1]) + c < _INT64_LIMIT
+        ):
+            xs = xs.astype(object)  # the result leaves int64
+        return IntegerSet.from_sorted_array(
+            xs + c if len(xs) else xs, f"shift({self.provenance}, {c:+d})"
         )
 
     def reflect(self) -> "IntegerSet":
-        return IntegerSet.from_sorted(
-            tuple(-x for x in reversed(self.elements)), f"reflect({self.provenance})"
-        )
+        # -_INT64_LIMIT < x < _INT64_LIMIT is symmetric, so the dtype stays
+        return IntegerSet.from_sorted_array(-self._xs[::-1], f"reflect({self.provenance})")
 
     def hull(self) -> Interval:
         """Smallest (lo, hi] containing the set: (min - 1, max]."""
-        if not self.elements:
+        if not len(self._xs):
             raise ValueError("empty set has no hull")
-        return Interval(self.elements[0] - 1, self.elements[-1])
+        return Interval(int(self._xs[0]) - 1, int(self._xs[-1]))
+
+
+_BLOCK_LINES = 1 << 16  # .zset lines per block written, and per chunk read
 
 
 def write_zset(s: IntegerSet, path: str) -> None:
     """Write a set to the line-oriented .zset format."""
+    xs = s._array()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("#zset v1\n")
         fh.write(f"#provenance {s.provenance}\n")
-        for x in s.elements:
-            fh.write(f"{x}\n")
+        for i in range(0, len(xs), _BLOCK_LINES):
+            block = xs[i : i + _BLOCK_LINES].tolist()
+            fh.write(("%d\n" * len(block)) % tuple(block))
+
+
+def _parse_chunk(lines: list[str], prev: Optional[int]) -> Optional[np.ndarray]:
+    """The elements of a chunk of body lines, or None if it needs the line loop.
+
+    Only a chunk of integer lines increasing strictly from prev takes
+    this path; comments, blank lines and every error go to _parse_lines.
+    """
+    try:
+        xs = _int_array(list(map(int, lines)))
+    except ValueError:
+        return None
+    if (prev is not None and xs[0] <= prev) or not np.all(xs[1:] > xs[:-1]):
+        return None
+    return xs
+
+
+def _parse_lines(lines, lineno, prev, provenance):
+    """Parse body lines one by one, from line number lineno, after prev.
+
+    Returns (elements as an array, provenance); raises ZsetFormatError
+    with the offending line number.
+    """
+    elements: list[int] = []
+    for lineno, raw in enumerate(lines, start=lineno):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if line.startswith("#provenance"):
+                provenance = line[len("#provenance"):].strip() or provenance
+            continue
+        try:
+            x = int(line)
+        except ValueError:
+            raise ZsetFormatError(f"not an integer: {line!r}", lineno) from None
+        if prev is not None and x <= prev:
+            raise ZsetFormatError(
+                f"elements not strictly increasing ({x} after {prev})", lineno
+            )
+        prev = x
+        elements.append(x)
+    return _int_array(elements), provenance
 
 
 def read_zset(path: str) -> IntegerSet:
@@ -192,30 +297,29 @@ def read_zset(path: str) -> IntegerSet:
     endings, a leading "+" and blank or whitespace-only lines are
     accepted.  Violations raise ZsetFormatError with the offending line
     number.
+
+    The body is read in chunks of lines, doubling from one line up to
+    _BLOCK_LINES, so the comments at the top cost little.  A chunk of
+    plain increasing integers is parsed whole into an array; any other
+    chunk goes through the line loop, which accepts comments and blank
+    lines and raises every format error.
     """
-    elements: list[int] = []
+    parts: list[np.ndarray] = []
     provenance = "unspecified"
+    prev: Optional[int] = None
     with open(path, "r", encoding="utf-8-sig") as fh:
         first = fh.readline()
         if first.strip() != "#zset v1":
             raise ZsetFormatError("missing '#zset v1' header", 1)
-        prev: Optional[int] = None
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if line.startswith("#provenance"):
-                    provenance = line[len("#provenance"):].strip() or provenance
-                continue
-            try:
-                x = int(line)
-            except ValueError:
-                raise ZsetFormatError(f"not an integer: {line!r}", lineno) from None
-            if prev is not None and x <= prev:
-                raise ZsetFormatError(
-                    f"elements not strictly increasing ({x} after {prev})", lineno
-                )
-            prev = x
-            elements.append(x)
-    return IntegerSet.from_sorted(tuple(elements), provenance)
+        lineno, size = 2, 1
+        while lines := list(islice(fh, size)):
+            xs = _parse_chunk(lines, prev)
+            if xs is None:
+                xs, provenance = _parse_lines(lines, lineno, prev, provenance)
+            if len(xs):
+                parts.append(xs)
+                prev = int(xs[-1])
+            lineno += len(lines)
+            size = min(2 * size, _BLOCK_LINES)
+    xs = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return IntegerSet.from_sorted_array(xs, provenance)

@@ -8,9 +8,10 @@ histograms with their Cauchy-Schwarz bound, and randomized sweeps
 estimating the dimension of E + floor(lam*F) across a window.
 
 Delta runs on integer arrays, exactly.  delta_exact walks the pieces of
-every slope pair in chunks and reads its weights from the difference
-histogram of E; _delta_quadrature integrates the collision energy on its
-own histogram of a + floor(lam*b), one update per breakpoint.  Rational
+every slope pair in chunks and reads its weights from the histogram of
+the differences of E within the band a floor gap can reach;
+_delta_quadrature integrates the collision energy on its own histogram
+of a + floor(lam*b), one update per breakpoint.  Rational
 values are carried as integer numerators over known grids, and only a
 few Fractions are built at the end.  The int64 paths run only where a
 bound proves that no product leaves int64 (and the event order only
@@ -31,6 +32,7 @@ import numpy as np
 
 from .arithmetic import (
     SizeGuardError,
+    _sorted_runs,
     check_sum_pairs,
     floor_scale,
     grid_energy,
@@ -43,6 +45,7 @@ from .measures import ScanSchedule, dimension_estimate
 
 _OBJECT_GRID_PAIRS = 4_000_000  # largest grid histogrammed on Python ints
 _DELTA_CHUNK = 4096  # fine intervals per chunk of the route-one piece walk
+_BAND_CHUNK = 1 << 22  # differences made at once by _band_histogram
 
 
 @dataclass(frozen=True)
@@ -249,6 +252,44 @@ class DeltaReport:
         return self.exact_value == self.quadrature_value
 
 
+def _band_histogram(xs: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram (values, counts) of the differences a' - a, |a' - a| <= bound.
+
+    xs is E's sorted, duplicate-free element array.  Only the pairs
+    inside the band are made: for each a, the a' > a up to a + bound end
+    at a searchsorted rank, and their differences are generated by
+    ragged arange in chunks of _BAND_CHUNK pairs and counted by sorting.
+    The negative side mirrors the positive one, and 0 counts |E|.
+    """
+    if xs.dtype != object and bound >= _INT64_LIMIT:
+        xs = xs.astype(object)  # a + bound may leave int64
+    n = len(xs)
+    lens = np.searchsorted(xs, xs + bound, side="right") - np.arange(1, n + 1)
+    ends = np.cumsum(lens)
+    parts = []
+    start = 0
+    while start < n:
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + _BAND_CHUNK, side="right")))
+        rows = np.repeat(np.arange(start, stop), lens[start:stop])
+        if len(rows):
+            # pair t of row r is (r, r + 1 + t - first pair of r)
+            firsts = ends[start:stop] - lens[start:stop] - base
+            cols = np.arange(len(rows)) - firsts[rows - start] + rows + 1
+            parts.append(_sorted_runs(xs[cols] - xs[rows]))
+        start = stop
+    if not parts:
+        pos, mult = xs[:0], lens[:0]
+    elif len(parts) == 1:
+        pos, mult = parts[0]
+    else:
+        pos, mult = _sorted_runs(*(np.concatenate(p) for p in zip(*parts)))
+    return (
+        np.concatenate((-pos[::-1], np.zeros(1, pos.dtype), pos)),
+        np.concatenate((mult[::-1], [n], mult)),
+    )
+
+
 def _gap_counts(values: np.ndarray, counts: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """counts[i] where values[i] == gap, else 0, for each gap; values sorted."""
     i = np.minimum(np.searchsorted(values, gaps), len(values) - 1)
@@ -341,7 +382,8 @@ def delta_exact(
     most once, built by arange arithmetic with no sort.  The floor gap
     g of a piece is evaluated in integers at its midpoint, and the
     number of ordered pairs with a' - a = g is looked up in the sorted
-    difference histogram grid_histogram(E, -E, 1).  Piece lengths times
+    histogram of the differences with |a' - a| <= gap_bound, the band
+    every gap lies in (_band_histogram).  Piece lengths times
     counts are summed per pair (int64 when a bound on every grid
     product, taken from F, |E| and the window, is below 2**62, object
     dtype otherwise), grouped by grid and added as Fractions.
@@ -376,9 +418,8 @@ def delta_exact(
             and len(fvals) * (2 * gap_bound + 1) < _INT64_LIMIT
         )
         dtype = np.int64 if fits else object
-        values, counts = grid_histogram(E, E.reflect(), 1)
-        keep = (values >= -gap_bound) & (values <= gap_bound)
-        values, counts = values[keep].astype(dtype), counts[keep].astype(dtype)
+        values, counts = _band_histogram(E._array(), gap_bound)
+        values, counts = values.astype(dtype), counts.astype(dtype)
         f = np.array(fvals, dtype=dtype)
         by_grid: dict[int, int] = {}
         for i in range(len(fvals) - 1):

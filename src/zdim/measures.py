@@ -276,8 +276,7 @@ def alpha_measure_estimate(
     if len(E) == 0:
         raise DegenerateSetError("empty set")
     if len(E) == 1:
-        x = E.elements[0]
-        return MeasureEstimate(Fraction(1), a, Interval(x - 1, x), 1, 1, False)
+        return MeasureEstimate(Fraction(1), a, E.hull(), 1, 1, False)
     (count, length, xi, xj), pairs, sub = _ratio_scan(E, a, schedule, min_count=2)
     return MeasureEstimate(
         _ratio_to_fraction(count, length, a),

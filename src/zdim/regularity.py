@@ -125,17 +125,15 @@ class ThinningTrace:
         return self.steps[-1][1] if self.steps else self.initial
 
 
-def _dyadic_once(elements: tuple[int, ...]) -> tuple[int, ...]:
+def _dyadic_once(xs: np.ndarray) -> np.ndarray:
     """Keep the first element, every second interior one, and the last."""
-    k = len(elements)
+    k = len(xs)
     if k <= 2:
-        return elements
-    interior_top = 2 * ((k + 1) // 2) - 2
-    kept = [elements[0]]
-    kept.extend(elements[j - 1] for j in range(2, interior_top + 1, 2))
-    if kept[-1] != elements[k - 1]:
-        kept.append(elements[k - 1])
-    return tuple(kept)
+        return xs
+    # 0-based: the first, the odd positions before the last, and the last
+    kept = np.append(np.arange(-1, k - 1, 2), k - 1)
+    kept[0] = 0
+    return xs[kept]
 
 
 def dyadic_thin(F: IntegerSet, I: Interval, alpha) -> ThinningTrace:
@@ -153,13 +151,13 @@ def dyadic_thin(F: IntegerSet, I: Interval, alpha) -> ThinningTrace:
     steps: list[tuple[int, SupRatio]] = []
     stalled = False
     while _cmp_ratio_vs(s.count, s.length, a, Fraction(2)) > 0:
-        thinned = _dyadic_once(current.elements)
-        if thinned == current.elements:
+        thinned = _dyadic_once(current._array())
+        if len(thinned) == len(current):
             # fewer than four points and a tiny alpha: the rule is the
             # identity here and s cannot shrink further
             stalled = True
             break
-        current = IntegerSet.from_sorted(thinned, f"thin({F.provenance})")
+        current = IntegerSet.from_sorted_array(thinned, f"thin({F.provenance})")
         prev = s
         s = sup_ratio(current, I, a)
         assert ratio_le_half_step(prev.count, prev.length, s.count, s.length, a)
@@ -191,8 +189,8 @@ def extract_regular_subset(E: IntegerSet, alpha, n_blocks: int) -> ExtractedSubs
         raise ValueError("n_blocks must be >= 1")
     if len(E) == 0:
         raise ValueError("empty set")
-    cursor = E.elements[0] - 1
-    top = E.elements[-1]
+    hull = E.hull()
+    cursor, top = hull.lo, hull.hi
     blocks: list[IntegerSet] = []
     traces: list[ThinningTrace] = []
     witnesses: list[Interval] = []
@@ -214,11 +212,8 @@ def extract_regular_subset(E: IntegerSet, alpha, n_blocks: int) -> ExtractedSubs
         # separation: next block starts at least length**(1/alpha) further on
         gap = ceil_pow(w.witness.length, a.denominator, a.numerator)
         cursor = w.witness.hi + gap
-    elements: list[int] = []
-    for blk in blocks:
-        elements.extend(blk.elements)
-    subset = IntegerSet.from_sorted(
-        tuple(elements),
+    subset = IntegerSet.from_sorted_array(
+        np.concatenate([blk._array() for blk in blocks] or [np.empty(0, np.int64)]),
         f"regular-subset({_shortprov(E)}, alpha={a}, blocks={len(blocks)}"
         + (", truncation-exhausted)" if exhausted else ")"),
     )

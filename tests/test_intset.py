@@ -1,8 +1,12 @@
 """IntegerSet container and .zset persistence."""
 
+from fractions import Fraction
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zdim.intset as intset
 from zdim.intset import IntegerSet, Interval, ZsetFormatError, read_zset, write_zset
 
 
@@ -130,3 +134,204 @@ def test_empty_set_behavior():
     assert len(E) == 0
     with pytest.raises(ValueError):
         E.hull()
+
+
+# ---------------------------------------------------------------------------
+# array storage against a tuple oracle
+
+_LIMIT = 2**62  # elements strictly inside +-2**62 are stored as int64
+_EDGES = [
+    e + d
+    for e in (0, _LIMIT, -_LIMIT, 2**63, -(2**63), 10**30, -(10**30))
+    for d in (-2, -1, 0, 1)
+]
+_VALUES = st.one_of(
+    st.integers(-50, 50), st.sampled_from(_EDGES), st.integers(-(2**70), 2**70)
+)
+_SHIFTS = st.one_of(
+    st.integers(-5, 5),
+    st.sampled_from([_LIMIT, -_LIMIT, 2**63, 10**30]).flatmap(
+        lambda c: st.integers(-3, 3).map(lambda d: c + d)
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_VALUES, max_size=25),
+    st.booleans(),
+    st.lists(_VALUES, max_size=5),
+    _VALUES,
+    _VALUES,
+    _SHIFTS,
+)
+def test_array_set_matches_tuple_oracle(xs, numpy_ints, probes, lo, hi, c):
+    want = tuple(sorted(set(xs)))
+    if numpy_ints:  # numpy ints where they fit, in an array when all do
+        xs = [np.int64(x) if -(2**63) <= x < 2**63 else x for x in xs]
+        if all(isinstance(x, np.int64) for x in xs):
+            xs = np.array(xs, dtype=np.int64)
+    E = IntegerSet(xs, "p")
+    assert E.elements == want and all(type(x) is int for x in E.elements)
+    assert len(E) == len(want) and list(E) == list(want)
+    fits = all(-_LIMIT < x < _LIMIT for x in want)
+    assert E._array().dtype == (np.int64 if fits else object)
+    assert (E._np_view() is not None) == (fits and bool(want))
+    if want:
+        assert E.hull() == Interval(want[0] - 1, want[-1])
+    else:
+        with pytest.raises(ValueError):
+            E.hull()
+    for x in probes + list(want) + [lo, hi]:
+        assert (x in E) == (x in want)
+    if lo < hi:
+        inside = tuple(x for x in want if lo < x <= hi)
+        assert E.count_in(Interval(lo, hi)) == len(inside)
+        R = E.restrict(Interval(lo, hi))
+        assert R.elements == inside
+        assert R == IntegerSet(inside) and hash(R) == hash(IntegerSet(inside))
+    S = E.shift(c)
+    assert S.elements == tuple(x + c for x in want)
+    assert S._array().dtype == (
+        np.int64 if all(-_LIMIT < x + c < _LIMIT for x in want) else object
+    )
+    assert S.shift(-c) == E and hash(S.shift(-c)) == hash(E)
+    assert (S == E) == (c == 0 or not want)
+    assert E.reflect().elements == tuple(-x for x in reversed(want))
+    assert E.reflect().reflect() == E
+    F = IntegerSet(list(reversed(want)) * 2, "q")
+    assert F == E and hash(F) == hash(E)
+    assert F != IntegerSet(want + (max(want, default=0) + 1,))
+    assert IntegerSet.from_sorted(want, "t") == E
+    with pytest.raises(AttributeError):
+        E.elements = want
+
+
+def test_storage_is_one_read_only_array():
+    E = IntegerSet.from_sorted_array(np.arange(5, dtype=np.int64), "a")
+    assert not hasattr(E, "__dict__") and E._array().dtype == np.int64
+    with pytest.raises(ValueError):
+        E._array()[0] = 7
+    big = IntegerSet.from_sorted_array(np.array([0, 2**62], dtype=np.int64), "b")
+    assert big._array().dtype == object and big._np_view() is None
+    assert big.elements == (0, 2**62) and type(big.elements[1]) is int
+    assert IntegerSet([2**62, -3]).shift(-(2**62)).elements == (-(2**62) - 3, 0)
+
+
+def _refuse_tuple(self):
+    raise AssertionError("the element tuple was built")
+
+
+def test_sweep_and_reader_build_no_tuple(tmp_path, monkeypatch):
+    from zdim.marstrand import LambdaWindow, sweep
+
+    E = IntegerSet([n * n for n in range(1, 300)], "sq")
+    F = IntegerSet(range(0, 600, 3), "ap")
+    p = tmp_path / "e.zset"
+    write_zset(E, str(p))
+    monkeypatch.setattr(IntegerSet, "elements", property(_refuse_tuple))
+    rep = sweep(E, F, LambdaWindow(Fraction(1), Fraction(2)), samples=3, seed=5)
+    assert len(rep.records) == 3
+    write_zset(E, str(p))
+    assert read_zset(str(p)) == E
+
+
+# ---------------------------------------------------------------------------
+# the chunked reader
+
+
+def _loop_reader(path):
+    """The line-by-line reader, as an oracle: (elements, provenance)."""
+    with open(path, encoding="utf-8-sig") as fh:
+        if fh.readline().strip() != "#zset v1":
+            raise ZsetFormatError("missing '#zset v1' header", 1)
+        elements, provenance, prev = [], "unspecified", None
+        for lineno, raw in enumerate(fh, start=2):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if line.startswith("#provenance"):
+                    provenance = line[len("#provenance"):].strip() or provenance
+                continue
+            try:
+                x = int(line)
+            except ValueError:
+                raise ZsetFormatError(f"not an integer: {line!r}", lineno) from None
+            if prev is not None and x <= prev:
+                raise ZsetFormatError(
+                    f"elements not strictly increasing ({x} after {prev})", lineno
+                )
+            prev = x
+            elements.append(x)
+    return tuple(elements), provenance
+
+
+def _outcome(read, path):
+    try:
+        got = read(path)
+    except ZsetFormatError as e:
+        return "error", str(e), e.line
+    if isinstance(got, IntegerSet):
+        got = got.elements, got.provenance
+    return got
+
+
+_STEPS = st.one_of(
+    st.integers(1, 9), st.sampled_from([2**62, 2**63, 10**30]), st.sampled_from([0, -4])
+)
+_ODD_LINES = st.sampled_from(
+    ["", "   ", "\t", "# note", "#provenance mid-body", "x7", "1.5", "-", "12 3"]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(_STEPS, _ODD_LINES), max_size=40),
+    st.sampled_from([1, 2, 3, 5, 1 << 16]),
+)
+def test_chunked_reader_matches_line_loop(tmp_path_factory, body, chunk):
+    # integers as steps from the previous one (0 and -4 break the order),
+    # mixed with comments, blank lines and bad tokens
+    lines, x = ["#zset v1", "#provenance top"], -20
+    for item in body:
+        if isinstance(item, int):
+            x += item
+            item = str(x)
+        lines.append(item)
+    p = tmp_path_factory.mktemp("z") / "a.zset"
+    p.write_text("".join(f"{line}\n" for line in lines))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intset, "_BLOCK_LINES", chunk)
+        assert _outcome(read_zset, str(p)) == _outcome(_loop_reader, str(p))
+
+
+@pytest.mark.parametrize("chunk", [3, 1 << 16])
+def test_reader_past_its_first_chunk(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(intset, "_BLOCK_LINES", chunk)
+    n = 3 * chunk + 10  # body lines; every case below sits past line 2 * chunk
+    at = 2 * chunk + 5
+    base = [str(3 * i) for i in range(n)]
+
+    def read_with(i, text):
+        lines = ["#zset v1", "#provenance p"] + base[:i] + text + base[i:]
+        path = tmp_path / "a.zset"
+        path.write_text("".join(f"{line}\n" for line in lines))
+        return read_zset(str(path))
+
+    with pytest.raises(ZsetFormatError) as ei:
+        read_with(at, ["x7"])
+    assert str(ei.value) == f"line {at + 3}: not an integer: 'x7'"
+    with pytest.raises(ZsetFormatError) as ei:
+        read_with(at, [str(3 * at - 3)])
+    assert ei.value.line == at + 3
+    assert str(ei.value) == (
+        f"line {at + 3}: elements not strictly increasing ({3 * at - 3} after {3 * at - 3})"
+    )
+    E = read_with(at, ["# mid-body comment", "", "  \t "])
+    assert E.elements == tuple(range(0, 3 * n, 3)) and E.provenance == "p"
+    assert E._array().dtype == np.int64
+    for big in (2**62, 2**63 - 1, 10**30):
+        E = read_with(n, [str(big)])
+        assert E.elements == tuple(range(0, 3 * n, 3)) + (big,)
+        assert E._array().dtype == object

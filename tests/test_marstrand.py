@@ -250,6 +250,8 @@ _WINDOW_ENDS = st.fractions(min_value=Fr(1, 10), max_value=3, max_denominator=12
     _WINDOW_ENDS,
 )
 @example([27], [-24, -25], False, 0, 10**15, Fr(1), Fr(1))  # float keys order it wrong
+# 600 squares: 360000 differences, of which route one reads |g| <= 13
+@example([n * n for n in range(1, 601)], [1, 2, 3], False, 0, 0, Fr(1), Fr(1))
 def test_delta_routes_match_oracle(xs, ys, zero, shift, far, lo, width):
     # E + 10**30 leaves int64.  far = 10**15 puts the window where the
     # float keys k/|b| of distinct events tie, and makes E span far so that
@@ -260,9 +262,10 @@ def test_delta_routes_match_oracle(xs, ys, zero, shift, far, lo, width):
     w = LambdaWindow(far + lo, far + lo + width)
     want = oracle_delta(E, F, w)
     assert want[0] == want[1]
-    for chunk in (marstrand._DELTA_CHUNK, 3):
+    for chunk, band in ((marstrand._DELTA_CHUNK, marstrand._BAND_CHUNK), (3, 2)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(marstrand, "_DELTA_CHUNK", chunk)
+            mp.setattr(marstrand, "_BAND_CHUNK", band)
             rep = delta_exact(E, F, w)
         got = (rep.exact_value, rep.quadrature_value, rep.positive_pairs, rep.breakpoint_count)
         assert got == want, chunk
