@@ -9,9 +9,9 @@ One engine, ``grid_histogram(E, F, lam)``, computes the histogram of the
 grid ``a + floor(lam*b)`` over ``E x F``: the distinct values in
 increasing order and the number of grid points on each.  ``sumset`` and
 ``sum_scaled`` are its values; ``marstrand.collision_stats`` and
-``marstrand.sweep`` read its counts.  The route is chosen from the input
-alone, and the two array routes keep their working memory within one
-byte budget, ``_BYTE_BUDGET``:
+``marstrand.sweep`` read its counts.  The route is chosen from the value
+span and the pair count alone, and both routes keep their working
+memory within one byte budget, ``_BYTE_BUDGET``:
 
 - dense accumulation, when the value span is at most the number of
   pairs and its counters fit the budget: for each element of the shorter
@@ -19,8 +19,15 @@ byte budget, ``_BYTE_BUDGET``:
   index into the counters (both are duplicate-free, so no index repeats
   within one add);
 - sorted outer sum: outer sums sorted and counted run by run, in chunks
-  of the budget that a stable sort merges when the grid is larger;
-- object dtype, with Python ints, when E or lam*F leaves int64.
+  of the budget that a stable sort merges when the grid is larger.
+
+The dtype only picks the array type.  E and the floors of lam*F are
+int64 arrays, or object arrays of Python ints when they leave int64, and
+both routes run on either.  When the span is below _INT64_LIMIT, the
+routes work on the operands minus their first elements, which lie in
+[0, span), so big-integer grids of a narrow span run in int64 too, and
+the lowest value is added back at the end (in object dtype when an
+operand was).
 
 Two proven bounds keep the integer types exact.  Every count is at most
 |F|, because for a fixed b the value fixes a; counts are stored in the
@@ -60,7 +67,7 @@ def _positive(lam) -> Fraction:
 
 
 def _runs(vals: np.ndarray, weights: Optional[np.ndarray] = None):
-    """(distinct values, run weights) of a sorted nonempty array.
+    """(distinct values, run weights) of a sorted array.
 
     Without weights each element counts once.
     """
@@ -79,15 +86,21 @@ def _sorted_runs(vals: np.ndarray, weights: Optional[np.ndarray] = None):
     return _runs(vals[order], weights[order])
 
 
-def _int64_floors(F: IntegerSet, p: int, q: int):
-    """floor(p*b/q) over F in int64, as (distinct floors, multiplicities).
+def _scales_in_int64(xs: np.ndarray, p: int) -> bool:
+    """True when x*p lies strictly within +-_INT64_LIMIT for every x of sorted xs."""
+    return not len(xs) or max(abs(int(xs[0])), abs(int(xs[-1]))) * p < _INT64_LIMIT
 
-    Multiplicities are None when every floor is distinct.  Returns None
-    when some b*p may leave int64.
+
+def _floors(F: IntegerSet, p: int, q: int):
+    """floor(p*b/q) over F, as (distinct floors, multiplicities).
+
+    The floors are int64, or object dtype (Python ints) when some b*p
+    may leave int64.  Multiplicities are None when every floor is
+    distinct.
     """
-    xf = F._np_view()
-    if xf is None or max(abs(int(xf[0])), abs(int(xf[-1]))) * p >= _INT64_LIMIT:
-        return None
+    xf = F._array()
+    if not _scales_in_int64(xf, p):
+        xf = xf.astype(object, copy=False)
     if p >= q:
         # gaps scale by at least 1, floors stay distinct and sorted
         return (xf if p == q else xf * p // q), None
@@ -96,28 +109,31 @@ def _int64_floors(F: IntegerSet, p: int, q: int):
 
 
 def grid_in_int64(E: IntegerSet, F: IntegerSet, lam) -> bool:
-    """True when grid_histogram runs E x floor(lam*F) in int64 (not object dtype)."""
-    lam = Fraction(lam)
+    """True when E and the floors of lam*F, grid_histogram's operands, are
+    nonempty int64 arrays (not object dtype)."""
     return (
-        E._np_view() is not None
-        and _int64_floors(F, lam.numerator, lam.denominator) is not None
+        len(E) > 0
+        and len(F) > 0
+        and E._array().dtype != object
+        and _scales_in_int64(F._array(), Fraction(lam).numerator)
     )
 
 
-def _dense_histogram(xe, uf, mult, lo, span, cdtype):
+def _dense_histogram(xe, uf, mult, span, cdtype):
+    # operands start at 0, so every sum indexes the span
     acc = np.zeros(span, dtype=cdtype)
     if len(xe) <= len(uf):
-        base, shifts = uf - lo, xe.tolist()
+        base, shifts = uf, xe.tolist()
         weights = repeat(1 if mult is None else mult)
     else:
-        base, shifts = xe - lo, uf.tolist()
+        base, shifts = xe, uf.tolist()
         weights = repeat(1) if mult is None else mult.tolist()
     idx = np.empty_like(base)
     for shift, w in zip(shifts, weights):
         np.add(base, shift, out=idx)
         acc[idx] += w
     nz = np.flatnonzero(acc)
-    return nz + lo, acc[nz]
+    return nz, acc[nz]
 
 
 def _sorted_histogram(xe, uf, mult, cdtype):
@@ -148,39 +164,35 @@ def grid_histogram(E: IntegerSet, F: IntegerSet, lam) -> tuple[np.ndarray, np.nd
     """Histogram of a + floor(lam*b) over E x F: (values, counts).
 
     values are the distinct grid values in increasing order (int64, or
-    object dtype beyond int64); counts[i] is the number of pairs (a, b)
+    object dtype when E or the floors leave int64); counts[i] is the number of pairs (a, b)
     landing on values[i], in the smallest unsigned dtype holding |F|.
-    The route (dense, sorted, object) depends on the input only; see the
-    module docstring.  No size guard: callers check the grid size.
+    The route (dense or sorted) depends on the span and the pair count
+    only; see the module docstring.  No size guard: callers check the
+    grid size.
     """
     lam = _positive(lam)
     if len(E) == 0 or len(F) == 0:
         raise ValueError("grid_histogram needs nonempty sets")
     p, q = lam.numerator, lam.denominator
     cdtype = np.min_scalar_type(len(F))  # smallest unsigned dtype holding |F|
-    xe = E._np_view()
-    floors = None if xe is None else _int64_floors(F, p, q)
-    if floors is None:
-        hist: dict[int, int] = {}
-        xs = E._array().tolist()
-        for b in F:
-            fb = p * b // q
-            for a in xs:
-                v = a + fb
-                hist[v] = hist.get(v, 0) + 1
-        keys = sorted(hist)
-        return (
-            np.array(keys, dtype=object),
-            np.array([hist[k] for k in keys], dtype=cdtype),
-        )
-    uf, mult = floors
+    xe = E._array()
+    uf, mult = _floors(F, p, q)
     if mult is not None:
         mult = mult.astype(cdtype)  # multiplicities are at most |F| too
     lo = int(xe[0]) + int(uf[0])
     span = int(xe[-1]) + int(uf[-1]) - lo + 1
+    if span >= _INT64_LIMIT:
+        # sums of int64 operands stay in int64; object ones stay Python ints
+        return _sorted_histogram(xe, uf, mult, cdtype)
+    dtype = np.result_type(xe, uf)  # of the values: object when an operand is
+    # relative to their first elements, operands and sums lie in [0, span)
+    xe = (xe - xe[0]).astype(np.int64, copy=False)
+    uf = (uf - uf[0]).astype(np.int64, copy=False)
     if span <= len(xe) * len(uf) and span * cdtype.itemsize <= _BYTE_BUDGET:
-        return _dense_histogram(xe, uf, mult, lo, span, cdtype)
-    return _sorted_histogram(xe, uf, mult, cdtype)
+        values, counts = _dense_histogram(xe, uf, mult, span, cdtype)
+    else:
+        values, counts = _sorted_histogram(xe, uf, mult, cdtype)
+    return values.astype(dtype, copy=False) + lo, counts
 
 
 def grid_energy(counts: np.ndarray, total: int) -> int:
@@ -203,11 +215,7 @@ def floor_scale(E: IntegerSet, lam) -> IntegerSet:
     lam = _positive(lam)
     p, q = lam.numerator, lam.denominator
     prov = f"scale({_short(E.provenance)}, {lam})"
-    floors = _int64_floors(E, p, q)
-    if floors is not None:
-        return IntegerSet.from_sorted_array(floors[0], prov)
-    out = sorted({(x * p) // q for x in E})
-    return IntegerSet.from_sorted(tuple(out), prov)
+    return IntegerSet.from_sorted_array(_floors(E, p, q)[0], prov)
 
 
 def check_sum_pairs(E: IntegerSet, F: IntegerSet, max_pairs: int) -> None:
@@ -246,12 +254,14 @@ def star(E: IntegerSet, F: IntegerSet) -> IntegerSet:
     """
     if len(E) == 0:
         raise ValueError("empty star product")
-    picked = [E.elements[n - 1] for n in F.elements if 1 <= n <= len(E)]
-    skipped = len(F) - len(picked)
-    if not picked:
+    # the indices within 1..|E| are one slice of sorted F
+    xf = F._array()
+    ranks = xf[F._rank(0) : F._rank(len(E))].astype(np.int64)
+    skipped = len(F) - len(ranks)
+    if not len(ranks):
         raise ValueError("empty star product")
-    return IntegerSet.from_sorted(
-        tuple(picked),
+    return IntegerSet.from_sorted_array(
+        E._array()[ranks - 1],
         f"star({_short(E.provenance)}, {_short(F.provenance)}, skipped={skipped})",
     )
 

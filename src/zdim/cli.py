@@ -353,8 +353,11 @@ def cmd_star(args) -> int:
 def cmd_thin(args) -> int:
     t0 = time.monotonic()
     E = _load(args.set)
-    lo = args.lo if args.lo is not None else E.elements[0] - 1
-    hi = args.hi if args.hi is not None else E.elements[-1]
+    lo, hi = args.lo, args.hi
+    if lo is None or hi is None:
+        hull = E.hull()  # the default window; an empty set has none (ValueError)
+        lo = hull.lo if lo is None else lo
+        hi = hull.hi if hi is None else hi
     trace = dyadic_thin(E, Interval(lo, hi), args.alpha)
     steps = [
         {"size": size, "s": frac_str(s.value), "s_float": float(s.value)}

@@ -165,8 +165,8 @@ def power_set(alpha, n_max: int) -> IntegerSet:
         raise ValueError("n_max must be >= 1")
     # 1/alpha = p/q
     p, q = a.denominator, a.numerator
-    xs = sorted({iroot(n**p, q) for n in range(1, n_max + 1)})
-    return IntegerSet.from_sorted(tuple(xs), f"power(alpha={a}, n_max={n_max})")
+    xs = [iroot(n**p, q) for n in range(1, n_max + 1)]
+    return IntegerSet(xs, f"power(alpha={a}, n_max={n_max})")
 
 
 def polynomial_set(coeffs: Sequence[int], n_range: tuple[int, int]) -> IntegerSet:
@@ -232,40 +232,21 @@ def cantor_set(
     ]
     succ = {s: [t for t in range(a) if A.rows[s][t]] for s in range(a)}
 
-    if b ** (depth + 1) < _INT64_LIMIT:
-        frontier: dict[int, np.ndarray] = {
-            s: np.array([dig[s]], dtype=np.int64) for s in usable
-        }
-        collected = [frontier[s] for s in usable]
-        for m in range(1, depth + 1):
-            scale = b**m
-            nxt: dict[int, list[np.ndarray]] = {}
-            for s, vals in frontier.items():
-                for t in succ[s]:
-                    nxt.setdefault(t, []).append(vals + dig[t] * scale)
-            frontier = {t: np.concatenate(parts) for t, parts in nxt.items()}
-            if not frontier:
-                break
-            collected.extend(frontier.values())
-        return IntegerSet(np.concatenate(collected), prov)
-
-    frontier_py: dict[int, list[int]] = {s: [dig[s]] for s in usable}
-    seen: set[int] = set()
-    for s in usable:
-        seen.add(dig[s])
+    # words have at most depth + 1 digits, so every value is below b**(depth+1)
+    dtype = np.int64 if b ** (depth + 1) < _INT64_LIMIT else object
+    frontier: dict[int, np.ndarray] = {s: np.array([dig[s]], dtype=dtype) for s in usable}
+    collected = [frontier[s] for s in usable]
     for m in range(1, depth + 1):
         scale = b**m
-        nxt_py: dict[int, list[int]] = {}
-        for s, vals in frontier_py.items():
+        nxt: dict[int, list[np.ndarray]] = {}
+        for s, vals in frontier.items():
             for t in succ[s]:
-                add = dig[t] * scale
-                nxt_py.setdefault(t, []).extend(v + add for v in vals)
-        frontier_py = nxt_py
-        if not frontier_py:
+                nxt.setdefault(t, []).append(vals + dig[t] * scale)
+        frontier = {t: np.concatenate(parts) for t, parts in nxt.items()}
+        if not frontier:
             break
-        for vals in frontier_py.values():
-            seen.update(vals)
-    return IntegerSet(seen, prov)
+        collected.extend(frontier.values())
+    return IntegerSet(np.concatenate(collected), prov)
 
 
 def resonance_sets(strings: int) -> tuple[IntegerSet, IntegerSet, IntegerSet]:
@@ -324,27 +305,19 @@ class IPParameters:
 def ip_set(params: IPParameters) -> IntegerSet:
     """All sums of x_i * d_i with 0 <= x_i < k_i over i <= depth.
 
-    The gap condition makes the coefficient map injective, so the
-    cardinality is exactly the product of the k_i (asserted).
+    The gap condition puts every sum over i < n below d_n, so the
+    coefficient map is injective and ordered with x_n most significant:
+    the cardinality is exactly the product of the k_i, and the outer
+    sums with x_n outermost come out sorted.
     """
     params.validate_gaps()
     ks = params.k_seq[: params.depth]
     ds = params.d_seq[: params.depth]
-    expected = 1
-    for k in ks:
-        expected *= k
     top = sum((k - 1) * d for k, d in zip(ks, ds))
-    if top < _INT64_LIMIT:
-        vals = np.zeros(1, dtype=np.int64)
-        for k, d in zip(ks, ds):
-            vals = (vals[:, None] + (np.arange(k, dtype=np.int64) * d)[None, :]).ravel()
-        vals.sort()
-    else:
-        acc = [0]
-        for k, d in zip(ks, ds):
-            acc = [v + c * d for v in acc for c in range(k)]
-        vals = np.array(sorted(acc), dtype=object)
-    assert len(vals) == expected, "gap condition must force injectivity"
+    dtype = np.int64 if top < _INT64_LIMIT else object
+    vals = np.zeros(1, dtype=dtype)
+    for k, d in zip(ks, ds):
+        vals = ((np.arange(k, dtype=dtype) * d)[:, None] + vals[None, :]).ravel()
     return IntegerSet.from_sorted_array(
         vals, f"ip(k={ks}, d={ds}, depth={params.depth})"
     )

@@ -475,7 +475,7 @@ def _delta_quadrature(E: IntegerSet, F: IntegerSet, window: LambdaWindow) -> Fra
     lasts = [f + s * c for f, s, c in zip(floors, steps, counts)]
     lows = [min(f, l) for f, l in zip(floors, lasts)]
     highs = [max(f, l) for f, l in zip(floors, lasts)]
-    wide = E._np_view() is None or max(-min(lows), max(highs)) >= _INT64_LIMIT
+    wide = E._array().dtype == object or max(-min(lows), max(highs)) >= _INT64_LIMIT
     dtype = object if wide else np.int64
     # the value intervals [a + low_b, a + high_b] of the pairs (a, b),
     # merged in order of their starts into blocks numbered contiguously

@@ -91,11 +91,14 @@ def test_sumset_routes_agree():
     dense = (IntegerSet(range(0, 900, 7), "e7"), IntegerSet(range(0, 500, 3), "f3"))
     sparse = (IntegerSet(range(0, 9_000_000, 70_001), "e"), dense[1])
     big = (dense[0].shift(10**40), dense[1])
+    big_sparse = (sparse[0].shift(10**40), dense[1])
     cases = [
         (dense, None, ["_dense_histogram"]),  # span below the pair count
         (dense, 1000, ["_sorted_histogram"]),  # counters over budget: chunked sort
         (sparse, None, ["_sorted_histogram"]),  # span above the pair count: one sort
-        (big, None, []),  # beyond int64: object dtype
+        # beyond int64, object dtype takes the same routes
+        (big, None, ["_dense_histogram"]),
+        (big_sparse, None, ["_sorted_histogram"]),
     ]
     for (E, F), budget, route in cases:
         for lam in (Fr(1), Fr(5, 2), Fr(1, 3)):  # 1/3: duplicate floors

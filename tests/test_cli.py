@@ -149,6 +149,14 @@ def test_thin_json_trace(tmp_path, capsys):
     assert len(thinned) == rep["final_size"]
 
 
+def test_thin_empty_set_is_a_usage_error(tmp_path, capsys):
+    p = tmp_path / "empty.zset"
+    p.write_text("#zset v1\n#provenance nothing\n")  # header only, no elements
+    code, out, err = run(capsys, "thin", str(p), "--alpha", "1/2")
+    assert code == 2 and out == ""
+    assert err == "error: empty set has no hull\n"
+
+
 def test_diagnose_modes(tmp_path, capsys):
     a = tmp_path / "a.zset"
     run(capsys, "construct", "--kind", "power", "--alpha", "1/2", "--nmax", "400", "--out", str(a))

@@ -3,6 +3,7 @@ alternating-block noncompatible pair."""
 
 import math
 
+import numpy as np
 import pytest
 from fractions import Fraction as Fr
 
@@ -158,6 +159,19 @@ def test_ip_set_product_cardinality():
     assert set(E.elements) == {
         a + b * 10 + c * 100 for a in range(2) for b in range(3) for c in range(2)
     }
+
+
+def test_ip_set_big_integer_path_matches_int64_twin():
+    # d scaled by 2**70 puts top beyond int64 (object dtype); its twin with
+    # d divided back by 2**70 stays in int64, and a brute-force sum agrees
+    ks, ds = (3, 2, 4), (1, 5, 20)
+    big = ip_set(IPParameters(ks, tuple(d << 70 for d in ds), 3))
+    twin = ip_set(IPParameters(ks, ds, 3))
+    assert big._array().dtype == object and twin._array().dtype == np.int64
+    assert big.elements == tuple(x << 70 for x in twin.elements)
+    assert big.elements == tuple(sorted(
+        (a * 1 + b * 5 + c * 20) << 70 for a in range(3) for b in range(2) for c in range(4)
+    ))
 
 
 def test_ip_gap_condition_names_first_failure():

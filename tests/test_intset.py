@@ -176,7 +176,6 @@ def test_array_set_matches_tuple_oracle(xs, numpy_ints, probes, lo, hi, c):
     assert len(E) == len(want) and list(E) == list(want)
     fits = all(-_LIMIT < x < _LIMIT for x in want)
     assert E._array().dtype == (np.int64 if fits else object)
-    assert (E._np_view() is not None) == (fits and bool(want))
     if want:
         assert E.hull() == Interval(want[0] - 1, want[-1])
     else:
@@ -202,7 +201,9 @@ def test_array_set_matches_tuple_oracle(xs, numpy_ints, probes, lo, hi, c):
     F = IntegerSet(list(reversed(want)) * 2, "q")
     assert F == E and hash(F) == hash(E)
     assert F != IntegerSet(want + (max(want, default=0) + 1,))
-    assert IntegerSet.from_sorted(want, "t") == E
+    # the trusted constructor picks the storage dtype from the elements
+    T = IntegerSet.from_sorted_array(np.array(want, dtype=object), "t")
+    assert T == E and T._array().dtype == E._array().dtype
     with pytest.raises(AttributeError):
         E.elements = want
 
@@ -213,7 +214,7 @@ def test_storage_is_one_read_only_array():
     with pytest.raises(ValueError):
         E._array()[0] = 7
     big = IntegerSet.from_sorted_array(np.array([0, 2**62], dtype=np.int64), "b")
-    assert big._array().dtype == object and big._np_view() is None
+    assert big._array().dtype == object
     assert big.elements == (0, 2**62) and type(big.elements[1]) is int
     assert IntegerSet([2**62, -3]).shift(-(2**62)).elements == (-(2**62) - 3, 0)
 
@@ -223,17 +224,36 @@ def _refuse_tuple(self):
 
 
 def test_sweep_and_reader_build_no_tuple(tmp_path, monkeypatch):
-    from zdim.marstrand import LambdaWindow, sweep
+    from zdim.arithmetic import floor_scale, star, sumset
+    from zdim.generators import TransitionMatrix, cantor_set
+    from zdim.marstrand import LambdaWindow, collision_stats, sweep
 
     E = IntegerSet([n * n for n in range(1, 300)], "sq")
     F = IntegerSet(range(0, 600, 3), "ap")
     p = tmp_path / "e.zset"
     write_zset(E, str(p))
+    # big integers: a base-8192 Cantor set (sparse, the sorted route) and a
+    # shifted progression (dense, the dense route), both object dtype
+    C = cantor_set(TransitionMatrix.full(4), 5, base=8192)
+    G = IntegerSet(range(0, 30, 3), "g")
+    B = G.shift(10**30)
+    I = IntegerSet([1, 7, len(C), len(C) + 1, 10**30], "idx")  # two out of range
     monkeypatch.setattr(IntegerSet, "elements", property(_refuse_tuple))
     rep = sweep(E, F, LambdaWindow(Fraction(1), Fraction(2)), samples=3, seed=5)
     assert len(rep.records) == 3
     write_zset(E, str(p))
     assert read_zset(str(p)) == E
+
+    lam = Fraction(7, 3)
+    for S in (C, B):
+        assert S._array().dtype == object
+        assert list(sumset(S, G)) == sorted({a + b for a in S for b in G})
+        assert list(floor_scale(S, lam)) == sorted({x * 7 // 3 for x in S})
+    cs = list(C)
+    assert list(star(C, I)) == [cs[0], cs[6], cs[-1]]
+    assert list(star(B, I)) == [10**30, 10**30 + 18]  # indices 1 and 7
+    report = collision_stats(C, B, lam)
+    assert report.values == tuple(sorted({a + b * 7 // 3 for a in C for b in B}))
 
 
 # ---------------------------------------------------------------------------
