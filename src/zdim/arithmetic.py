@@ -38,6 +38,7 @@ only when that product is below 2**63, and in object dtype otherwise.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -48,7 +49,7 @@ import numpy as np
 from .intset import _INT64_LIMIT, IntegerSet, _run_starts
 
 _BYTE_BUDGET = 150_000_000  # working memory of one array route, in bytes
-_SORT_PAIR_BYTES = 40  # sums, run mask, order and gathered copies, per pair
+_SORT_PAIR_BYTES = 40  # array slots per pair: sums, run mask, order and gathered copies
 
 
 class SizeGuardError(ValueError):
@@ -138,9 +139,14 @@ def _dense_histogram(xe, uf, mult, span, cdtype):
 
 def _sorted_histogram(xe, uf, mult, cdtype):
     # rows from the longer array, so that a chunk of rows fits the budget
-    chunk_pairs = _BYTE_BUDGET // _SORT_PAIR_BYTES
     rows, cols = (xe, uf) if len(xe) >= len(uf) else (uf, xe)
-    step = max(1, chunk_pairs // len(cols))
+    pair_bytes = _SORT_PAIR_BYTES
+    if rows.dtype == object or cols.dtype == object:
+        # each sum is also a new Python int, held in 16-byte blocks; the
+        # largest sum is at an end of the grid
+        int_bytes = max(sys.getsizeof(int(rows[k]) + int(cols[k])) for k in (0, -1))
+        pair_bytes += -(-int_bytes // 16) * 16
+    step = max(1, _BYTE_BUDGET // pair_bytes // len(cols))
     parts = []
     for i in range(0, len(rows), step):
         vals = (rows[i : i + step, None] + cols[None, :]).ravel()
@@ -152,6 +158,7 @@ def _sorted_histogram(xe, uf, mult, cdtype):
             weights = np.tile(mult, len(vals) // len(cols))
         values, counts = _sorted_runs(vals, weights)
         parts.append((values, counts.astype(cdtype, copy=False)))
+        del vals, weights  # before the next chunk's sums exist
     if len(parts) == 1:
         return parts[0]
     values = np.concatenate([v for v, _ in parts])

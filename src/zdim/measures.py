@@ -14,12 +14,14 @@ a score function with its near-tie threshold.  The scan runs on the
 set's element array, int64 when the elements fit and object dtype
 (Python ints) otherwise, so the dtype alone chooses the big-integer
 path.  Lengths of either dtype become float64 with the same rounding;
-lengths beyond float range score as infinitely long.  The float scan
-finds the best score, then every near-tie at the top is re-compared
-exactly (integer cross-powers for rational alpha with small
-denominator, high-precision decimal otherwise), so witnesses landing
-exactly on a boundary are resolved correctly and the reported witness
-is deterministic.
+lengths beyond float range score as infinitely long.  Windows d
+endpoints apart hold one count and every objective falls as the length
+grows, so one pass scores the shortest windows of each such diagonal
+for the best score, and a second collects near-ties in row-major order
+up to a cap.  Each near-tie is re-compared exactly (integer
+cross-powers for rational alpha with small denominator, high-precision
+decimal otherwise), so witnesses landing exactly on a boundary are
+resolved correctly and the reported witness is deterministic.
 
 Sets whose full pair count exceeds the schedule budget are scanned on
 an index stride.  First and last elements are always kept, so witnesses
@@ -163,39 +165,67 @@ def _window_scan(
 ) -> tuple[list[tuple[int, int, int, int]], int]:
     """Two-pass scan of the windows [xs[i], xs[j]] for i <= j in pos.
 
-    score maps float64 (count, length) arrays to scores; windows with
-    fewer than min_count elements or shorter than min_length are left
-    out.  The first pass finds the best score, the second collects the
-    windows scoring at least near(best) as (count, length, x_i, x_j),
-    in scan order and at most _MAX_CANDIDATES of them.  Returns the
-    candidates and the number of (i, j) pairs examined.
+    pos is k * step for k < u, as from _scan_positions, maybe with the
+    last index appended.  score maps float64 (count, length) arrays to
+    scores falling as the length grows; windows with fewer than min_count
+    elements or shorter than min_length are left out.  Along a diagonal
+    d = j - i < u the count is d * step + 1, so the first pass scores the
+    shortest windows of each diagonal, and the column ending at an
+    appended index.  The second scans the diagonals reaching near(best)
+    row block by row block, collecting the windows that score at least
+    near(best) as (count, length, x_i, x_j), in row-major order, until it
+    holds _MAX_CANDIDATES.  Returns them and the count of pairs examined.
     """
     idx = np.asarray(pos, dtype=np.int64)
     vals = xs[idx]
     rows = len(idx)
-
-    def row(a: int) -> tuple[np.ndarray, np.ndarray]:
-        counts = (idx[a:] - idx[a] + 1).astype(np.float64)
-        lens = _as_float(vals[a:] - vals[a] + 1)
-        ok = (counts >= min_count) & (lens >= min_length)
-        return counts, np.where(ok, score(counts, lens), -1.0)
-
-    row_best = np.array([row(a)[1].max() for a in range(rows)])
     pairs = rows * (rows + 1) // 2
-    best = float(row_best.max())
+    step = int(idx[1] - idx[0]) if rows > 1 else 1
+    u = rows if idx[-1] == (rows - 1) * step else rows - 1
+
+    def scored(counts, lens):
+        counts, lens = counts.astype(np.float64), _as_float(lens)
+        return np.where((counts >= min_count) & (lens >= min_length), score(counts, lens), -1.0)
+
+    # pass 1: one subtraction and one min per diagonal; lengths within 1e-9
+    # of the shortest are scored too, as float scores may not fall strictly
+    diag, dlen = [], []
+    for d in range(-(-(min_count - 1) // step), u):
+        gaps = vals[d:u] - vals[: u - d]  # lengths - 1, at least d * step
+        if d * step + 1 < min_length:
+            gaps = gaps[_as_float(gaps + 1) >= min_length]
+            if not len(gaps):
+                continue
+        g = gaps.min()
+        near_min = set(gaps[gaps - g <= (g + 1) // 10**9].tolist()) if g + 1 >= 10**9 else [g]
+        diag += [d] * len(near_min)
+        dlen += [x + 1 for x in near_min]
+    diag = np.array(diag, dtype=np.int64)
+    best_d = np.full(u, -1.0)
+    np.maximum.at(best_d, diag, scored(diag * step + 1, np.array(dlen, dtype=vals.dtype)))
+    col = scored(idx[-1] - idx + 1, vals[-1] - vals + 1) if u < rows else np.empty(0)
+    best = float(max(best_d.max(initial=-1.0), col.max(initial=-1.0)))
     if best < 0:
         return [], pairs
     thr = near(best)
-    cands: list[tuple[int, int, int, int]] = []
-    for a in np.nonzero(row_best >= thr)[0]:
-        counts, r = row(a)
-        xi = int(vals[a])
-        for b in np.nonzero(r >= thr)[0]:
-            xj = int(vals[a + b])
-            cands.append((int(counts[b]), xj - xi + 1, xi, xj))
-            if len(cands) >= _MAX_CANDIDATES:
-                return cands, pairs
-    return cands, pairs
+    qual = np.flatnonzero(best_d >= thr)
+    cands, a0 = [], 0
+    while a0 < rows and len(cands) < _MAX_CANDIDATES:
+        q = qual[: np.searchsorted(qual, u - a0)]
+        a = np.arange(a0, min(rows, a0 + max(1, _MAX_CANDIDATES // max(1, len(q)))))
+        b = a[:, None] + q
+        inside = b < u
+        b = np.where(inside, b, a[:, None])
+        hit = inside & (scored(idx[b] - idx[a, None] + 1, vals[b] - vals[a, None] + 1) >= thr)
+        if u < rows:
+            b = np.column_stack([b, np.full(len(a), rows - 1)])
+            hit = np.column_stack([hit, col[a] >= thr])
+        ai, bi = np.nonzero(hit)
+        i, j = a[ai], b[ai, bi]
+        xi, xj = vals[i].tolist(), vals[j].tolist()
+        cands += zip((idx[j] - idx[i] + 1).tolist(), [y - x + 1 for x, y in zip(xi, xj)], xi, xj)
+        a0 = a[-1] + 1
+    return cands[:_MAX_CANDIDATES], pairs
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,7 @@ def test_sumset_routes_agree():
     sparse = (IntegerSet(range(0, 9_000_000, 70_001), "e"), dense[1])
     big = (dense[0].shift(10**40), dense[1])
     big_sparse = (sparse[0].shift(10**40), dense[1])
+    wide = (IntegerSet(range(0, 40 * 10**20, 10**20), "wide"), dense[1])
     cases = [
         (dense, None, ["_dense_histogram"]),  # span below the pair count
         (dense, 1000, ["_sorted_histogram"]),  # counters over budget: chunked sort
@@ -99,6 +100,9 @@ def test_sumset_routes_agree():
         # beyond int64, object dtype takes the same routes
         (big, None, ["_dense_histogram"]),
         (big_sparse, None, ["_sorted_histogram"]),
+        # a span of 2**62 or more: Python-int sums, in chunks under a small budget
+        (wide, None, ["_sorted_histogram"]),
+        (wide, 5000, ["_sorted_histogram"]),
     ]
     for (E, F), budget, route in cases:
         for lam in (Fr(1), Fr(5, 2), Fr(1, 3)):  # 1/3: duplicate floors

@@ -5,16 +5,22 @@ element-aligned interval, keeping the fast path honest.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction as Fr
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from zdim import measures
 from zdim.exact import ratio_value
 from zdim.intset import IntegerSet, Interval
 from zdim.measures import (
     DegenerateSetError,
     ScanSchedule,
+    _as_float,
+    _window_scan,
     alpha_measure_estimate,
     density_estimate,
     dimension_estimate,
@@ -206,3 +212,106 @@ def test_lengths_beyond_float_range():
     m = alpha_measure_estimate(E, Fr(1, 2))
     assert (m.count, m.witness) == (2, Interval(-1, 1))
     assert m.value == ratio_value(2, 2, Fr(1, 2))
+
+
+def row_scan(xs, pos, score, near, min_count, min_length, cap):
+    """The row-by-row window scan: every pair (i, j) of one row scored at
+    once, the best of each row kept, then the qualifying rows rescanned in
+    row-major order for the windows scoring at least near(best)."""
+    idx = np.asarray(pos, dtype=np.int64)
+    vals = xs[idx]
+    rows = len(idx)
+
+    def row(a):
+        counts = (idx[a:] - idx[a] + 1).astype(np.float64)
+        lens = _as_float(vals[a:] - vals[a] + 1)
+        ok = (counts >= min_count) & (lens >= min_length)
+        return counts, np.where(ok, score(counts, lens), -1.0)
+
+    row_best = np.array([row(a)[1].max() for a in range(rows)])
+    pairs = rows * (rows + 1) // 2
+    best = float(row_best.max())
+    if best < 0:
+        return [], pairs
+    thr = near(best)
+    cands = []
+    for a in np.nonzero(row_best >= thr)[0]:
+        counts, r = row(a)
+        xi = int(vals[a])
+        for b in np.nonzero(r >= thr)[0]:
+            xj = int(vals[a + b])
+            cands.append((int(counts[b]), xj - xi + 1, xi, xj))
+            if len(cands) >= cap:
+                return cands, pairs
+    return cands, pairs
+
+
+def _objective(alpha):
+    """The (score, near) pair of dimension_estimate (alpha None) or of the
+    count / length**alpha scans."""
+    if alpha is None:
+        return lambda c, l: np.log(c) / np.log(np.maximum(l, 2.0)), lambda b: b - 1e-12
+    af = float(alpha)
+    return lambda c, l: c * l ** (-af), lambda b: b - abs(b) * 1e-9
+
+
+_BIG = 10**12  # gaps this wide put window lengths past 10**9
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-5000, 5000), min_size=1, max_size=40, unique=True),
+        st.lists(st.integers(-150, 150), min_size=1, max_size=40, unique=True),
+        st.lists(st.integers(-20, 20), min_size=1, max_size=13, unique=True),
+        # runs of near-equal long gaps: ties and lengths within 1e-9
+        st.lists(
+            st.tuples(st.integers(0, 12), st.sampled_from([0, 1, 2, 1000, _BIG // 10**9])),
+            min_size=1,
+            max_size=30,
+        ).map(lambda ps: sorted({k * _BIG + r for k, r in ps})),
+    ),
+    st.booleans(),
+    st.integers(1, 12),
+    st.booleans(),
+    st.sampled_from([1, 2]),
+    st.sampled_from([1, 2, 5, 30]),
+    st.sampled_from([None, Fr(0), Fr(1, 3), Fr(1, 2), Fr(1)]),
+)
+# density ties 3/9 and 2/6, the latter on a diagonal whose shortest window
+# (length 4) is below min_length
+@example([2, 5, 10], False, 1, False, 1, 5, Fr(1))
+def test_window_scan_matches_row_scan(xs, big, step, append, min_count, min_length, alpha):
+    E = IntegerSet(xs, "w")
+    if big:
+        E = E.shift(_SHIFT)
+    arr = E._array()
+    n = len(arr)
+    pos = list(range(0, n, min(step, max(1, n - 1))))
+    if append and pos[-1] != n - 1:
+        pos.append(n - 1)
+    score, near = _objective(alpha)
+    args = (arr, pos, score, near, min_count, min_length)
+    oracle = row_scan(*args, cap=measures._MAX_CANDIDATES)
+    assert _window_scan(*args) == oracle
+    with mock.patch.object(measures, "_MAX_CANDIDATES", 3):
+        assert _window_scan(*args) == (oracle[0][:3], oracle[1])
+
+
+def test_all_ties_stop_early():
+    # every window of a block ties at density 1 and dimension 1; the
+    # candidate pass stops at the cap instead of collecting 1.25e7 ties
+    E = IntegerSet(range(10_000), "block")
+    tracemalloc.start()
+    try:
+        d = density_estimate(E)
+        a0 = alpha_measure_estimate(E, 0)
+        dim = dimension_estimate(E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (d.value, d.witness, d.count, d.pairs_scanned) == (1, Interval(-1, 2), 3, 12_507_501)
+    assert (a0.value, a0.witness, a0.pairs_scanned) == (10_000, Interval(-1, 9999), 12_507_501)
+    assert (dim.alpha_hat, dim.witness, dim.pairs_scanned) == (1, Interval(-1, 2), 12_507_501)
+    assert d.subsampled and a0.subsampled and dim.subsampled
+    assert peak < 64 * 2**20
