@@ -169,12 +169,12 @@ def _window_scan(
     last index appended.  score maps float64 (count, length) arrays to
     scores falling as the length grows; windows with fewer than min_count
     elements or shorter than min_length are left out.  Along a diagonal
-    d = j - i < u the count is d * step + 1, so the first pass scores the
-    shortest windows of each diagonal, and the column ending at an
-    appended index.  The second scans the diagonals reaching near(best)
-    row block by row block, collecting the windows that score at least
-    near(best) as (count, length, x_i, x_j), in row-major order, until it
-    holds _MAX_CANDIDATES.  Returns them and the count of pairs examined.
+    d = j - i < u the count is d * step + 1, so the first pass scores, in
+    O(rows) memory, the shortest windows of each diagonal, those within
+    float rounding of them and the column ending at an appended index.
+    The second scans the diagonals reaching near(best) by row blocks for
+    the windows scoring at least near(best), as (count, length, x_i, x_j),
+    row-major, up to _MAX_CANDIDATES.  Returns them and the pair count.
     """
     idx = np.asarray(pos, dtype=np.int64)
     vals = xs[idx]
@@ -182,27 +182,27 @@ def _window_scan(
     pairs = rows * (rows + 1) // 2
     step = int(idx[1] - idx[0]) if rows > 1 else 1
     u = rows if idx[-1] == (rows - 1) * step else rows - 1
+    assert np.array_equal(idx[:u], np.arange(u) * step), "pos is not k * step"
 
     def scored(counts, lens):
         counts, lens = counts.astype(np.float64), _as_float(lens)
         return np.where((counts >= min_count) & (lens >= min_length), score(counts, lens), -1.0)
 
-    # pass 1: one subtraction and one min per diagonal; lengths within 1e-9
-    # of the shortest are scored too, as float scores may not fall strictly
-    diag, dlen = [], []
+    # pass 1: gaps within (g + 1) // band of the least, g, are scored too, one
+    # diagonal at a time so memory stays O(rows)
+    s = score(np.full(2, 2.0), np.array([2.0**1000, 2.0**1001]))  # band: a fall of ~2**-44
+    band = max(1, int((1 - s[1] / s[0]) * 2**44)) if s[1] < s[0] else 2**62  # flat: constant
+    gmin, best_d = np.zeros(u, dtype=vals.dtype), np.full(u, -1.0)  # gap 0 where skipped
     for d in range(-(-(min_count - 1) // step), u):
         gaps = vals[d:u] - vals[: u - d]  # lengths - 1, at least d * step
         if d * step + 1 < min_length:
             gaps = gaps[_as_float(gaps + 1) >= min_length]
             if not len(gaps):
                 continue
-        g = gaps.min()
-        near_min = set(gaps[gaps - g <= (g + 1) // 10**9].tolist()) if g + 1 >= 10**9 else [g]
-        diag += [d] * len(near_min)
-        dlen += [x + 1 for x in near_min]
-    diag = np.array(diag, dtype=np.int64)
-    best_d = np.full(u, -1.0)
-    np.maximum.at(best_d, diag, scored(diag * step + 1, np.array(dlen, dtype=vals.dtype)))
+        gmin[d] = g = int(gaps.min())  # a Python int: g + (g + 1) // band cannot wrap
+        if g + 1 >= band and ((t := gaps[gaps <= g + (g + 1) // band]) != g).any():
+            best_d[d] = score(np.full(len(t), d * step + 1.0), _as_float(t + 1)).max()
+    best_d = np.maximum(best_d, scored(np.arange(u) * step + 1, gmin + 1))
     col = scored(idx[-1] - idx + 1, vals[-1] - vals + 1) if u < rows else np.empty(0)
     best = float(max(best_d.max(initial=-1.0), col.max(initial=-1.0)))
     if best < 0:

@@ -1,15 +1,11 @@
 """Hypothesis profiles.
 
-``HYPOTHESIS_PROFILE=ci`` loads the ``ci`` profile: examples are derived
-from each test's name rather than drawn at random, so a run repeats
-exactly, and no test has a deadline.  Without the variable the default
-profile applies.
+``pytest --hypothesis-profile=ci`` loads the ``ci`` profile: examples are
+derived from each test's name rather than drawn at random, so a run
+repeats exactly, and no test has a deadline.  Without the option the
+default profile applies.
 """
-
-import os
 
 from hypothesis import settings
 
 settings.register_profile("ci", derandomize=True, deadline=None)
-if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
-    settings.load_profile("ci")

@@ -264,7 +264,7 @@ _BIG = 10**12  # gaps this wide put window lengths past 10**9
         st.lists(st.integers(-5000, 5000), min_size=1, max_size=40, unique=True),
         st.lists(st.integers(-150, 150), min_size=1, max_size=40, unique=True),
         st.lists(st.integers(-20, 20), min_size=1, max_size=13, unique=True),
-        # runs of near-equal long gaps: ties and lengths within 1e-9
+        # runs of near-equal long gaps: ties and lengths within float rounding
         st.lists(
             st.tuples(st.integers(0, 12), st.sampled_from([0, 1, 2, 1000, _BIG // 10**9])),
             min_size=1,
@@ -276,7 +276,7 @@ _BIG = 10**12  # gaps this wide put window lengths past 10**9
     st.booleans(),
     st.sampled_from([1, 2]),
     st.sampled_from([1, 2, 5, 30]),
-    st.sampled_from([None, Fr(0), Fr(1, 3), Fr(1, 2), Fr(1)]),
+    st.sampled_from([None, Fr(0), Fr(1, 10**9), Fr(1, 3), Fr(1, 2), Fr(1)]),
 )
 # density ties 3/9 and 2/6, the latter on a diagonal whose shortest window
 # (length 4) is below min_length
@@ -315,3 +315,22 @@ def test_all_ties_stop_early():
     assert (dim.alpha_hat, dim.witness, dim.pairs_scanned) == (1, Interval(-1, 2), 12_507_501)
     assert d.subsampled and a0.subsampled and dim.subsampled
     assert peak < 64 * 2**20
+
+
+def test_long_jittered_gaps_stay_small():
+    # gaps near k * 10**15 with distinct jitter below 10**6: on most diagonals
+    # most gaps lie within float rounding of the least for the dimension and
+    # for a tiny alpha, so the first pass scores nearly whole diagonals and
+    # must not hold them all at once
+    rng = np.random.default_rng(1)
+    xs = np.arange(2000, dtype=np.int64) * 10**15 + rng.integers(0, 10**6, 2000)
+    for alpha in (None, Fr(1, 10**9), Fr(1)):
+        args = (xs, list(range(len(xs))), *_objective(alpha), 2, 2)
+        tracemalloc.start()
+        try:
+            got = _window_scan(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == row_scan(*args, cap=measures._MAX_CANDIDATES)
+        assert peak < 16 * 2**20
