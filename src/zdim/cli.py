@@ -3,8 +3,10 @@
 Subcommands construct sets, measure them, form sums, run the thinning
 and regularity diagnostics, and drive collision experiments.  All
 exact quantities are emitted as "p/q" strings; reports are
-deterministic given identical inputs and seeds, and --manifest records
-config hash plus input/output digests for rerun verification.
+deterministic given identical inputs and seeds.  ``main`` times each
+run, and --manifest records its config (every option of the subcommand
+except --json, --force and --manifest) with the config hash, the digests
+of the files the run actually read and wrote, and the wall time.
 
 Exit codes: 0 success (and assertions met), 1 assertion failed,
 2 usage error, 3 data error.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -49,6 +52,10 @@ from .regularity import compatibility_check, dyadic_thin, regularity_diagnostic
 
 SCHEMA = "zdim/1"
 FLOAT_PRECISION = "1e-12"
+# keys of the parsed arguments that are not part of a run's config: the
+# subcommand and its handler, where the report and the manifest go, and
+# whether outputs may be overwritten; "_"-prefixed keys are internal too
+_NOT_CONFIG = {"command", "func", "json", "force", "manifest"}
 
 
 class DataError(Exception):
@@ -112,28 +119,41 @@ def _witness_json(w: Optional[Interval]):
     return {"lo": w.lo, "hi": w.hi}
 
 
-def _emit(obj: dict, path: Optional[str]) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
+# _emit, _save and _load record the files they write or read in
+# args._outputs / args._inputs, which main hashes into the manifest
+def _emit(args, report: dict) -> None:
+    report = {"schema": SCHEMA, "kind": args.command, **report}
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text)
+        args._outputs.append(args.json)
     else:
         sys.stdout.write(text)
 
 
-def _load(path: str) -> IntegerSet:
+def _load(args, path: str) -> IntegerSet:
     try:
-        return read_zset(path)
+        E = read_zset(path)
     except FileNotFoundError:
         raise DataError(f"no such file: {path}")
     except ZsetFormatError as e:
         raise DataError(f"{path}: {e}")
+    args._inputs.append(path)
+    return E
 
 
-def _save(E: IntegerSet, path: str, force: bool) -> None:
-    if os.path.exists(path) and not force:
+def _save(args, E: IntegerSet, path: str) -> None:
+    if os.path.exists(path) and not args.force:
         raise DataError(f"{path} exists, pass --force to overwrite")
     write_zset(E, path)
+    args._outputs.append(path)
+
+
+def _save_out(args, S: IntegerSet) -> int:
+    _save(args, S, args.out)
+    print(f"wrote {args.out} ({len(S)} elements)")
+    return 0
 
 
 def _sha256(path: str) -> str:
@@ -145,10 +165,8 @@ def _sha256(path: str) -> str:
 
 
 def _write_manifest(
-    args, config: ExperimentConfig, inputs: list[str], outputs: list[str], t0: float
+    path: str, config: ExperimentConfig, inputs: list[str], outputs: list[str], t0: float
 ) -> None:
-    if not getattr(args, "manifest", None):
-        return
     cfg_json = json.dumps(config.to_dict(), sort_keys=True)
     manifest = {
         "schema": SCHEMA,
@@ -160,20 +178,16 @@ def _write_manifest(
         "outputs": {p: _sha256(p) for p in outputs},
         "wall_time_s": round(time.monotonic() - t0, 3),
     }
-    with open(args.manifest, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
-def _config_from_args(args, keys: list[str]) -> ExperimentConfig:
-    params = {}
-    for k in keys:
-        v = getattr(args, k, None)
-        if isinstance(v, Fraction):
-            v = frac_str(v)
-        elif isinstance(v, tuple):
-            v = list(v)
-        params[k] = v
-    return ExperimentConfig(args.command, params)
+def _config_value(v):
+    if isinstance(v, Fraction):
+        return frac_str(v)
+    if isinstance(v, tuple):
+        return list(v)
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +203,6 @@ def _require(args, parser, names: list[str]) -> None:
 
 
 def cmd_construct(args) -> int:
-    t0 = time.monotonic()
     parser = args._parser
     kind = args.kind
     second: Optional[IntegerSet] = None
@@ -213,6 +226,7 @@ def cmd_construct(args) -> int:
             A = TransitionMatrix.full(a)
         else:
             A = TransitionMatrix.from_text(args.matrix)
+            args._inputs.append(args.matrix)
         E = cantor_set(A, args.depth - 1, base=args.base, digits=args.digits)
     elif kind == "ip":
         _require(args, parser, ["ks", "ds"])
@@ -238,20 +252,12 @@ def cmd_construct(args) -> int:
         E = integer_resonant_set(args.alpha, args.depth)
     else:  # pragma: no cover - argparse choices guard this
         parser.error(f"unknown kind {kind!r}")
-    _save(E, args.out, args.force)
-    outputs = [args.out]
+    _save(args, E, args.out)
     if second is not None:
-        _save(second, args.out2, args.force)
-        outputs.append(args.out2)
-    for path, s in zip(outputs, [E, second]):
+        _save(args, second, args.out2)
+    for path, s in ((args.out, E), (args.out2, second)):
         if s is not None:
             print(f"wrote {path} ({len(s)} elements)")
-    cfg = _config_from_args(
-        args,
-        ["kind", "alpha", "beta", "nmin", "nmax", "coeffs", "matrix", "base",
-         "digits", "depth", "ks", "ds", "seed", "steps", "growth", "out", "out2"],
-    )
-    _write_manifest(args, cfg, [], outputs, t0)
     return 0
 
 
@@ -260,52 +266,30 @@ def cmd_construct(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    t0 = time.monotonic()
-    E = _load(args.set)
+    E = _load(args, args.set)
     schedule = ScanSchedule(budget=args.budget, min_length=args.min_length)
-    report: dict = {"schema": SCHEMA, "kind": "measure", "input": args.set}
+    report: dict = {"input": args.set}
     if args.dim:
-        d = dimension_estimate(E, schedule)
+        m = dimension_estimate(E, schedule)
         report.update(
-            mode="dimension",
-            alpha_hat=frac_str(d.alpha_hat),
-            alpha_float=d.alpha_float,
-            witness=_witness_json(d.witness),
-            count=d.count,
-            pairs_scanned=d.pairs_scanned,
-            subsampled=d.subsampled,
-            precision=FLOAT_PRECISION,
-        )
-    elif args.alpha is not None:
-        m = alpha_measure_estimate(E, args.alpha, schedule)
-        report.update(
-            mode="alpha-measure",
-            alpha=frac_str(m.alpha),
-            value=frac_str(m.value),
-            value_float=float(m.value),
-            witness=_witness_json(m.witness),
-            count=m.count,
-            pairs_scanned=m.pairs_scanned,
-            subsampled=m.subsampled,
-            precision=FLOAT_PRECISION,
+            mode="dimension", alpha_hat=frac_str(m.alpha_hat), alpha_float=m.alpha_float
         )
     else:
-        m = density_estimate(E, schedule)
-        report.update(
-            mode="density",
-            value=frac_str(m.value),
-            value_float=float(m.value),
-            witness=_witness_json(m.witness),
-            count=m.count,
-            pairs_scanned=m.pairs_scanned,
-            subsampled=m.subsampled,
-            precision=FLOAT_PRECISION,
-        )
-    _emit(report, args.json)
-    cfg = _config_from_args(
-        args, ["set", "dim", "alpha", "density", "budget", "min_length"]
+        if args.alpha is not None:
+            m = alpha_measure_estimate(E, args.alpha, schedule)
+            report.update(mode="alpha-measure", alpha=frac_str(m.alpha))
+        else:
+            m = density_estimate(E, schedule)
+            report.update(mode="density")
+        report.update(value=frac_str(m.value), value_float=float(m.value))
+    report.update(
+        witness=_witness_json(m.witness),
+        count=m.count,
+        pairs_scanned=m.pairs_scanned,
+        subsampled=m.subsampled,
+        precision=FLOAT_PRECISION,
     )
-    _write_manifest(args, cfg, [args.set], [args.json] if args.json else [], t0)
+    _emit(args, report)
     return 0
 
 
@@ -314,36 +298,16 @@ def cmd_measure(args) -> int:
 
 
 def cmd_sum(args) -> int:
-    t0 = time.monotonic()
-    E, F = _load(args.a), _load(args.b)
-    S = sum_scaled(E, F, args.lam)
-    _save(S, args.out, args.force)
-    print(f"wrote {args.out} ({len(S)} elements)")
-    cfg = _config_from_args(args, ["a", "b", "lam", "out"])
-    _write_manifest(args, cfg, [args.a, args.b], [args.out], t0)
-    return 0
+    E, F = _load(args, args.a), _load(args, args.b)
+    return _save_out(args, sum_scaled(E, F, args.lam))
 
 
 def cmd_scale(args) -> int:
-    t0 = time.monotonic()
-    E = _load(args.a)
-    S = floor_scale(E, args.lam)
-    _save(S, args.out, args.force)
-    print(f"wrote {args.out} ({len(S)} elements)")
-    cfg = _config_from_args(args, ["a", "lam", "out"])
-    _write_manifest(args, cfg, [args.a], [args.out], t0)
-    return 0
+    return _save_out(args, floor_scale(_load(args, args.a), args.lam))
 
 
 def cmd_star(args) -> int:
-    t0 = time.monotonic()
-    E, F = _load(args.a), _load(args.b)
-    S = star(E, F)
-    _save(S, args.out, args.force)
-    print(f"wrote {args.out} ({len(S)} elements)")
-    cfg = _config_from_args(args, ["a", "b", "out"])
-    _write_manifest(args, cfg, [args.a, args.b], [args.out], t0)
-    return 0
+    return _save_out(args, star(_load(args, args.a), _load(args, args.b)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +315,7 @@ def cmd_star(args) -> int:
 
 
 def cmd_thin(args) -> int:
-    t0 = time.monotonic()
-    E = _load(args.set)
+    E = _load(args, args.set)
     lo, hi = args.lo, args.hi
     if lo is None or hi is None:
         hull = E.hull()  # the default window; an empty set has none (ValueError)
@@ -364,8 +327,6 @@ def cmd_thin(args) -> int:
         for size, s in trace.steps
     ]
     report = {
-        "schema": SCHEMA,
-        "kind": "thin",
         "input": args.set,
         "alpha": frac_str(Fraction(args.alpha)),
         "interval": {"lo": lo, "hi": hi},
@@ -381,26 +342,17 @@ def cmd_thin(args) -> int:
         "stalled": trace.stalled,
         "precision": FLOAT_PRECISION,
     }
-    outputs = []
     if args.out:
-        _save(trace.final_set, args.out, args.force)
-        outputs.append(args.out)
-    _emit(report, args.json)
-    if args.json:
-        outputs.append(args.json)
-    cfg = _config_from_args(args, ["set", "lo", "hi", "alpha", "out"])
-    _write_manifest(args, cfg, [args.set], outputs, t0)
+        _save(args, trace.final_set, args.out)
+    _emit(args, report)
     return 0
 
 
 def cmd_diagnose(args) -> int:
-    t0 = time.monotonic()
-    E = _load(args.a)
+    E = _load(args, args.a)
     if args.b is None:
         rep = regularity_diagnostic(E)
         report = {
-            "schema": SCHEMA,
-            "kind": "diagnose",
             "mode": "regularity",
             "input": args.a,
             "alpha_hat": frac_str(rep.dimension.alpha_hat),
@@ -421,13 +373,11 @@ def cmd_diagnose(args) -> int:
             "precision": FLOAT_PRECISION,
         }
     else:
-        F = _load(args.b)
+        F = _load(args, args.b)
         rep = compatibility_check(
             E, F, ratio_band=args.ratio_band, c_min=args.c_min
         )
         report = {
-            "schema": SCHEMA,
-            "kind": "diagnose",
             "mode": "compatibility",
             "input_a": args.a,
             "input_b": args.b,
@@ -449,10 +399,7 @@ def cmd_diagnose(args) -> int:
             ],
             "precision": FLOAT_PRECISION,
         }
-    _emit(report, args.json)
-    cfg = _config_from_args(args, ["a", "b", "ratio_band", "c_min"])
-    inputs = [args.a] + ([args.b] if args.b else [])
-    _write_manifest(args, cfg, inputs, [args.json] if args.json else [], t0)
+    _emit(args, report)
     return 0
 
 
@@ -461,12 +408,11 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_collide(args) -> int:
-    t0 = time.monotonic()
-    E, F = _load(args.a), _load(args.b)
+    if (args.delta_min is None) != (args.delta_max is None):
+        args._parser.error("--delta-min and --delta-max must be given together")
+    E, F = _load(args, args.a), _load(args, args.b)
     rep = collision_stats(E, F, args.lam)
     report = {
-        "schema": SCHEMA,
-        "kind": "collide",
         "input_a": args.a,
         "input_b": args.b,
         "lambda": frac_str(rep.lam),
@@ -481,9 +427,7 @@ def cmd_collide(args) -> int:
             "values": list(rep.values),
             "counts": list(rep.counts),
         }
-    if args.delta_min is not None or args.delta_max is not None:
-        if args.delta_min is None or args.delta_max is None:
-            raise DataError("--delta-min and --delta-max must be given together")
+    if args.delta_min is not None:
         window = LambdaWindow(args.delta_min, args.delta_max)
         d = delta_exact(E, F, window)
         report["delta"] = {
@@ -494,14 +438,11 @@ def cmd_collide(args) -> int:
             "positive_pairs": d.positive_pairs,
             "breakpoints": d.breakpoint_count,
         }
-    _emit(report, args.json)
-    cfg = _config_from_args(args, ["a", "b", "lam", "delta_min", "delta_max"])
-    _write_manifest(args, cfg, [args.a, args.b], [args.json] if args.json else [], t0)
+    _emit(args, report)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    t0 = time.monotonic()
     parser = args._parser
     if args.lambda_min <= 0:
         parser.error(
@@ -513,7 +454,7 @@ def cmd_sweep(args) -> int:
         parser.error("degenerate window: --lambda-min equals --lambda-max")
     if args.lambda_min > args.lambda_max:
         parser.error("--lambda-min must be below --lambda-max")
-    E, F = _load(args.a), _load(args.b)
+    E, F = _load(args, args.a), _load(args, args.b)
     window = LambdaWindow(args.lambda_min, args.lambda_max)
     rep = sweep(
         E,
@@ -527,8 +468,6 @@ def cmd_sweep(args) -> int:
         skip_integers=args.skip_integers,
     )
     report = {
-        "schema": SCHEMA,
-        "kind": "sweep",
         "input_a": args.a,
         "input_b": args.b,
         "window": {"lo": frac_str(window.lo), "hi": frac_str(window.hi)},
@@ -555,14 +494,7 @@ def cmd_sweep(args) -> int:
             "precision": FLOAT_PRECISION,
         },
     }
-    _emit(report, args.json)
-    cfg = _config_from_args(
-        args,
-        ["a", "b", "lambda_min", "lambda_max", "samples", "seed",
-         "assert_threshold", "min_fraction", "min_length", "budget",
-         "skip_integers"],
-    )
-    _write_manifest(args, cfg, [args.a, args.b], [args.json] if args.json else [], t0)
+    _emit(args, report)
     if args.assert_threshold is not None:
         assert rep.fraction_above is not None
         if rep.fraction_above < args.min_fraction:
@@ -620,8 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--dim", action="store_true")
     mode.add_argument("--alpha", type=parse_frac)
     mode.add_argument("--density", action="store_true")
-    pm.add_argument("--budget", type=int, default=50_000_000)
-    pm.add_argument("--min-length", type=int, default=2)
+    pm.add_argument("--budget", type=int, default=ScanSchedule.budget)
+    pm.add_argument("--min-length", type=int, default=ScanSchedule.min_length)
     pm.add_argument("--json", help="write the report here instead of stdout")
     pm.set_defaults(func=cmd_measure)
 
@@ -686,7 +618,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of records that must clear --assert-threshold",
     )
     pw.add_argument("--min-length", type=int)
-    pw.add_argument("--budget", type=int, default=2_000_000)
+    sweep_budget = inspect.signature(sweep).parameters["dim_budget"].default
+    pw.add_argument("--budget", type=int, default=sweep_budget)
     pw.add_argument("--skip-integers", action="store_true")
     pw.add_argument("--json")
     pw.set_defaults(func=cmd_sweep)
@@ -701,12 +634,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.monotonic()
+    args._inputs, args._outputs = [], []
     try:
-        return args.func(args)
-    except DataError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    except (ZsetFormatError, OSError) as e:
+        code = args.func(args)
+        if args.manifest:
+            params = {k: _config_value(v) for k, v in vars(args).items()
+                      if k not in _NOT_CONFIG and not k.startswith("_")}
+            config = ExperimentConfig(args.command, params)
+            _write_manifest(args.manifest, config, args._inputs, args._outputs, t0)
+        return code
+    except (DataError, ZsetFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (ValueError, SizeGuardError) as e:

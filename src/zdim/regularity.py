@@ -85,16 +85,10 @@ def ratio_le_half_step(
     return lhs_lo <= rhs_hi + Fraction(1, 10**150)
 
 
-def sup_ratio(
-    F: IntegerSet,
-    I: Interval,
-    alpha,
-    cap: int = _SUP_CAP,
-    min_length: int = 1,
-) -> SupRatio:
+def sup_ratio(F: IntegerSet, I: Interval, alpha, min_length: int = 1) -> SupRatio:
     """Exact max of count/length**alpha over element-aligned J inside I.
 
-    Exact for up to cap elements in the restriction; beyond that the
+    Exact for up to _SUP_CAP elements in the restriction; beyond that the
     scan falls back to a deterministic stride (flagged subsampled), so
     the result is a certified lower bound only.
     """
@@ -102,7 +96,7 @@ def sup_ratio(
     R = F.restrict(I)
     if len(R) == 0:
         raise ValueError(f"no elements of the set inside {I}")
-    schedule = ScanSchedule(budget=cap * (cap + 1) // 2, min_length=min_length)
+    schedule = ScanSchedule(budget=_SUP_CAP * (_SUP_CAP + 1) // 2, min_length=min_length)
     (count, length, xi, xj), _, sub = _ratio_scan(R, a, schedule, min_count=1)
     return SupRatio(
         _ratio_to_fraction(count, length, a, digits=50),
@@ -275,16 +269,21 @@ def _best_window_at_scale(
     return best[1:]
 
 
-def _rung_ratio(count: int, length: int, alpha: float) -> float:
-    """count * length**-alpha of a ladder rung.
+def _length_pow(length: int, alpha: float) -> float:
+    """length**alpha for a window length.
 
     A length that float() cannot hold (it rounds to 2**1024 or more)
     counts as inf, as in the window scans.
     """
     try:
-        return count * length ** (-alpha)
+        return length**alpha
     except OverflowError:
-        return count * math.inf ** (-alpha)
+        return math.inf**alpha
+
+
+def _rung_ratio(count: int, length: int, alpha: float) -> float:
+    """count * length**-alpha of a ladder rung."""
+    return count * _length_pow(length, -alpha)
 
 
 def _ladder_scales(E: IntegerSet, max_scale: Optional[int]) -> list[int]:
@@ -427,8 +426,8 @@ def compatibility_check(
             )
             ok = (
                 lengths_ok
-                and ca >= float(c) * la**da - 1e-9
-                and cb >= float(c) * lb**db - 1e-9
+                and ca >= float(c) * _length_pow(la, da) - 1e-9
+                and cb >= float(c) * _length_pow(lb, db) - 1e-9
             )
         rungs.append(CompatRung(scale, wa, ca, wb, cb, ok))
         scale *= 2

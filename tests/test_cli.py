@@ -6,7 +6,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from zdim.cli import ExperimentConfig, main
+from zdim.cli import ExperimentConfig, build_parser, main
 from zdim.intset import read_zset
 
 
@@ -180,6 +180,9 @@ def test_diagnose_modes(tmp_path, capsys):
     code, out, _ = run(capsys, "diagnose", str(huge))
     assert code == 0
     assert json.loads(out)["ladder"][-1]["ratio"] == 0.0
+    code, out, _ = run(capsys, "diagnose", str(huge), str(huge))
+    assert code == 0
+    assert json.loads(out)["all_pass"] is False
 
 
 def test_collide_histogram_and_delta(tmp_path, capsys):
@@ -200,6 +203,17 @@ def test_collide_histogram_and_delta(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["delta"]["agreement"] is True
     assert Fr(rep["delta"]["exact"]) == Fr(rep["delta"]["quadrature"]) == 19
+
+
+def test_collide_unpaired_delta_flag_is_a_usage_error(tmp_path, capsys):
+    # checked before the sets are read: the files need not exist
+    missing = str(tmp_path / "nope.zset")
+    for flag in ("--delta-min", "--delta-max"):
+        code, out, err = run(capsys, "collide", missing, missing, "--lambda", "1",
+                             flag, "1")
+        assert code == 2 and out == ""
+        assert err.startswith("usage: zdim collide")
+        assert "--delta-min and --delta-max must be given together" in err
 
 
 def test_sweep_reports_and_exit_codes(tmp_path, capsys):
@@ -251,6 +265,48 @@ def test_manifest_records_digests(tmp_path, capsys):
     assert len(m["config_sha256"]) == 64
     assert len(m["outputs"][str(a)]) == 64
     assert m["wall_time_s"] >= 0
+
+
+def _subparsers() -> dict:
+    return next(a for a in build_parser()._actions if a.dest == "command").choices
+
+
+def test_manifest_config_and_files_for_every_subcommand(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mat.txt").write_text("2\n1 1\n1 0\n")
+    # (argv, files read, files written); each run adds --manifest
+    runs = [
+        ("construct --kind power --alpha 1/2 --nmax 30 --out a.zset", [], ["a.zset"]),
+        ("construct --kind noncompatible --alpha 1/2 --beta 2/3 --depth 2 "
+         "--out e.zset --out2 f.zset", [], ["e.zset", "f.zset"]),
+        ("construct --kind cantor --matrix mat.txt --base 2 --depth 4 --out c.zset",
+         ["mat.txt"], ["c.zset"]),
+        ("measure a.zset --dim", ["a.zset"], []),
+        ("measure a.zset --alpha 1/2 --json m.json", ["a.zset"], ["m.json"]),
+        ("sum a.zset c.zset --lambda 3/2 --out s.zset", ["a.zset", "c.zset"], ["s.zset"]),
+        ("scale a.zset --lambda 1/3 --out x.zset", ["a.zset"], ["x.zset"]),
+        ("star a.zset c.zset --out t.zset", ["a.zset", "c.zset"], ["t.zset"]),
+        ("thin s.zset --alpha 1/2 --out th.zset --json th.json", ["s.zset"],
+         ["th.zset", "th.json"]),
+        ("diagnose a.zset", ["a.zset"], []),
+        ("diagnose e.zset f.zset --json d.json", ["e.zset", "f.zset"], ["d.json"]),
+        ("collide c.zset c.zset --lambda 1 --histogram", ["c.zset"], []),
+        ("sweep a.zset c.zset --lambda-min 1 --lambda-max 2 --samples 2 --json w.json",
+         ["a.zset", "c.zset"], ["w.json"]),
+    ]
+    commands = set()
+    for argv, read, written in runs:
+        code, _, _ = run(capsys, *argv.split(), "--manifest", "run.json")
+        assert code == 0, argv
+        m = json.loads((tmp_path / "run.json").read_text())
+        command = m["config"]["command"]
+        commands.add(command)
+        options = {a.dest for a in _subparsers()[command]._actions}
+        want = options - {"help", "json", "force", "manifest"}
+        assert set(m["config"]["params"]) == want, argv
+        assert set(m["inputs"]) == set(read), argv
+        assert set(m["outputs"]) == set(written), argv
+    assert commands == set(_subparsers())
 
 
 def test_experiment_config_roundtrip():

@@ -150,6 +150,12 @@ def test_ladders_beyond_float_range():
             want = r.count * r.witness.length ** -1.0 if r.witness.length < 2**1024 else 0.0
             assert r.ratio == want
     assert reg.measure.count == 2 and reg.measure.witness.length == 6
+    # no count reaches c_min * inf**alpha; finite rungs keep their floats
+    compat = compatibility_check(E, E, c_min=Fr(1, 4))
+    found = [r for r in compat.rungs if r.window_a is not None]
+    assert found[0].ok and found[0].window_a.length == 6  # 2 >= 6/4
+    assert found[-1].count_a == 4 and found[-1].window_a.length >= 2**1024
+    assert not found[-1].ok
 
 
 def test_universality_fails_beyond_hull():
