@@ -11,7 +11,7 @@ Delta runs on integer arrays, exactly.  delta_exact walks the pieces of
 every slope pair in chunks and reads its weights from the histogram of
 the differences of E within the band a floor gap can reach;
 _delta_quadrature integrates the collision energy on its own histogram
-of a + floor(lam*b), one update per breakpoint.  Rational
+of a + floor(lam*b), updated in blocks of breakpoints.  Rational
 values are carried as integer numerators over known grids, and only a
 few Fractions are built at the end.  The int64 paths run only where a
 bound proves that no product leaves int64 (and the event order only
@@ -46,6 +46,7 @@ from .measures import ScanSchedule, dimension_estimate
 _OBJECT_GRID_PAIRS = 4_000_000  # largest grid histogrammed on Python ints
 _DELTA_CHUNK = 4096  # fine intervals per chunk of the route-one piece walk
 _BAND_CHUNK = 1 << 22  # differences made at once by _band_histogram
+_QUAD_BLOCK = 128  # events applied at once by _delta_quadrature
 
 
 @dataclass(frozen=True)
@@ -346,14 +347,14 @@ def _slope_row(b2, bs, lo, hi, den, values, counts, gap_bound):
         splits += int(np.count_nonzero(lb))
         # distinct (pair, gap) hits by sort-and-mask on the key
         # p*span + g + gap_bound; carried keys were counted in the last chunk
-        key = p * span + gap_bound
+        key = p.astype(bs.dtype, copy=False) * span + gap_bound
         ha, hb = ca > 0, (cb > 0) & (lb > 0)
         keys = np.sort(np.concatenate((carry, key[ha] + ga[ha], key[hb] + gb[hb])))
         new = np.ones(len(keys), dtype=bool)
         np.not_equal(keys[1:], keys[:-1], out=new[1:])
         keys = keys[new]
         weight += hit_weight(keys) - carried
-        last = p[-1]
+        last = int(p[-1])
         if x[-1] + 1 < ends[last]:
             # the pair goes on past lam* = right/grid; every gap lies
             # strictly within 1 of lam*(b - b2), so only its hits of at
@@ -436,6 +437,21 @@ def delta_exact(
     return DeltaReport(window, total, quad, positive, breakpoints)
 
 
+def _radix_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of int64 keys in [0, bound), 16 bits per pass.
+
+    numpy sorts 16-bit keys stably by radix sort, in linear time; least
+    significant digit first, each pass keeps the order of the last.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")  # wraps to the low bits
+    shift = 16
+    while bound > 1 << shift:
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
 def _delta_quadrature(E: IntegerSet, F: IntegerSet, window: LambdaWindow) -> Fraction:
     """Route two of delta_exact: integrate the collision energy N(lam).
 
@@ -447,12 +463,23 @@ def _delta_quadrature(E: IntegerSet, F: IntegerSet, window: LambdaWindow) -> Fra
     sorted as Fractions.  The histogram of a + floor(lam*b) is kept on
     int64 counters in compressed coordinates: the values of a stay in
     [a + fmin, a + fmax], and merging these intervals over sorted E
-    numbers them contiguously however large E's elements are.  An event
-    moves the |E| values a + floor(lam*b) of one b by one; removing the
-    old ones, then adding the new ones (each duplicate-free) changes N
-    by 2*(sum h_new - sum h_old) + 2|E|.  By Abel summation the integral
-    is hi*N_end - lo*N_start - sum over events of t*dN, and grouping
-    t*dN = k*dN/|b| by b leaves one integer and one Fraction per slope.
+    numbers them contiguously however large E's elements are, so row j
+    (the counters of a + floor(lam*b_j), a in E) sits r steps of +-1
+    from its start at the r-th event of b_j.  An event removes its row's
+    old counters, then adds the new ones (each duplicate-free), which
+    changes N by 2*(sum h_new - sum h_old) + 2|E|.
+
+    The events are applied in blocks of _QUAD_BLOCK; a row may fire more
+    than once in a block.  A member is one event's old row (-1) or new
+    row (+1), in event order.  The value a member sees at a counter is
+    the block-start histogram there plus the signs of the earlier
+    members at that counter, so one gather, one stable radix sort by
+    counter, a cumsum per run of equal counters and one scatter of the
+    run totals update the histogram and give every event's dN.  By Abel
+    summation the integral is hi*N_end - lo*N_start - sum over events of
+    t*dN, and grouping t*dN = k*dN/|b| by b leaves one integer and one
+    Fraction per slope: int64 when a bound on every slope's sum of
+    |k*dN| is below 2**62, Python ints otherwise.
     """
     lo, hi = window.lo, window.hi
     fvals = F.elements
@@ -461,14 +488,14 @@ def _delta_quadrature(E: IntegerSet, F: IntegerSet, window: LambdaWindow) -> Fra
     counts = [math.ceil(hi * m) - k if m else 0 for m, k in zip(slopes, firsts)]
     float_keys = hi * max(slopes) ** 2 < 1 << 52
     owner = np.repeat(np.arange(len(fvals)), counts)
-    ks = np.array(firsts, dtype=np.int64 if float_keys else object)[owner]
-    ks += np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]
+    rank = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]  # r of the r-th event
+    ks = np.array(firsts, dtype=np.int64 if float_keys else object)[owner] + rank
     if float_keys:
         order = np.argsort(ks / np.array(slopes)[owner], kind="stable")
     else:
         order = sorted(range(len(ks)), key=lambda e: Fraction(ks[e], slopes[owner[e]]))
-    ks, owner = ks[order].tolist(), owner[order].tolist()
-    first = Fraction(ks[0], slopes[owner[0]]) if ks else hi
+    ks, owner, rank = ks[order], owner[order], rank[order]
+    first = Fraction(int(ks[0]), slopes[owner[0]]) if len(ks) else hi
     mid = (lo + first) / 2
     floors = [(mid.numerator * b) // mid.denominator for b in fvals]
     steps = [1 if b > 0 else -1 for b in fvals]
@@ -496,23 +523,50 @@ def _delta_quadrature(E: IntegerSet, F: IntegerSet, window: LambdaWindow) -> Fra
     # counter rows: row j holds the counters of a + floor(lam*b_j), a in E
     shift = np.array([f - l for f, l in zip(floors, lows)], dtype=np.int64)
     cur = np.ascontiguousarray(at.reshape(len(E), len(fvals)).T) + shift[:, None]
-    hist = np.bincount(cur.ravel(), minlength=int(sizes.sum()))
-    start_energy = energy = int(hist @ hist)
-    two_e = 2 * len(E)
-    weighted = [0] * len(fvals)  # sum of k * dN over the events of each b
-    for k, j in zip(ks, owner):
-        old = cur[j]
-        new = old + steps[j]
-        h = hist[old]
-        hist[old] = h - 1
-        h2 = hist[new]
-        hist[new] = h2 + 1
-        d = 2 * int(np.add.reduce(h2 - h)) + two_e
-        weighted[j] += k * d
-        energy += d
-        cur[j] = new
+    size = int(sizes.sum())
+    hist = np.bincount(cur.ravel(), minlength=size)
+    start_energy = int(hist @ hist)
+    # event e moves row owner[e] from offset rank[e]*step to (rank[e] + 1)*step
+    step = np.array(steps, dtype=np.int64)[owner]
+    offset = rank * step
+    n_e = len(E)
+    sign = np.ones((_QUAD_BLOCK, 2, n_e), dtype=np.int64)
+    sign[:, 0] = -1
+    sign = sign.ravel()
+    dn = np.empty(len(owner), dtype=np.int64)
+    for s in range(0, len(owner), _QUAD_BLOCK):
+        rows = owner[s : s + _QUAD_BLOCK]
+        n = len(rows)
+        pos = np.empty((n, 2, n_e), dtype=np.int64)
+        np.add(cur[rows], offset[s : s + n, None], out=pos[:, 0])
+        np.add(pos[:, 0], step[s : s + n, None], out=pos[:, 1])
+        pos = pos.ravel()
+        by_pos = _radix_order(pos, size)
+        at_pos, signs = pos[by_pos], sign[: len(pos)][by_pos]
+        run = np.empty(len(pos), dtype=bool)
+        run[0] = True
+        np.not_equal(at_pos[1:], at_pos[:-1], out=run[1:])
+        run_at = np.flatnonzero(run)
+        tally = np.cumsum(signs)  # signed members up to here, through every run
+        before = tally - signs
+        counter = at_pos[run_at]
+        # a member sees the block-start count plus the signs before it in its run
+        base = hist[counter] - before[run_at]
+        hist[counter] = base + tally[np.append(run_at[1:], len(pos)) - 1]
+        seen = np.empty(len(pos), dtype=np.int64)
+        seen[by_pos] = before + np.repeat(base, np.diff(np.append(run_at, len(pos))))
+        sums = seen.reshape(n, 2, n_e).sum(axis=2)
+        dn[s : s + n] = 2 * (sums[:, 1] - sums[:, 0]) + 2 * n_e
+    # |dN| <= 2|E|(|F| + 1), as a counter meets each row at most once,
+    # and a slope's k sum to at most its count times its last k
+    k_sum = max((k + c - 1) * c for k, c in zip(firsts, counts))
+    wide_sum = k_sum * 2 * n_e * (len(fvals) + 1) >= _INT64_LIMIT
+    kd_type = object if wide_sum else np.int64
+    weighted = np.zeros(len(fvals), dtype=kd_type)  # sum of k * dN over the events of each b
+    np.add.at(weighted, owner, ks.astype(kd_type) * dn.astype(kd_type))
+    energy = start_energy + int(dn.sum())
     return hi * energy - lo * start_energy - sum(
-        (Fraction(w, m) for w, m in zip(weighted, slopes) if w), Fraction(0)
+        (Fraction(int(w), m) for w, m in zip(weighted, slopes) if w), Fraction(0)
     )
 
 

@@ -82,6 +82,19 @@ def test_construct_noncompatible_two_outputs(tmp_path, capsys):
     assert "out2" in err
 
 
+def test_construct_noncompatible_refuses_before_writing(tmp_path, capsys):
+    # an existing --out2 without --force must not leave a new --out behind
+    pa, pb = tmp_path / "e.zset", tmp_path / "f.zset"
+    pb.write_text("#zset v1\n")
+    code, _, err = run(capsys, "construct", "--kind", "noncompatible", "--alpha", "1/2",
+                       "--beta", "2/3", "--depth", "2",
+                       "--out", str(pa), "--out2", str(pb))
+    assert code == 3
+    assert "--force" in err
+    assert not pa.exists()
+    assert pb.read_text() == "#zset v1\n"
+
+
 def test_sum_scale_star_roundtrip(tmp_path, capsys):
     a = tmp_path / "a.zset"
     b = tmp_path / "b.zset"

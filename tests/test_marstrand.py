@@ -9,6 +9,7 @@ import math
 import random
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -252,6 +253,11 @@ _WINDOW_ENDS = st.fractions(min_value=Fr(1, 10), max_value=3, max_denominator=12
 @example([27], [-24, -25], False, 0, 10**15, Fr(1), Fr(1))  # float keys order it wrong
 # 600 squares: 360000 differences, of which route one reads |g| <= 13
 @example([n * n for n in range(1, 601)], [1, 2, 3], False, 0, 0, Fr(1), Fr(1))
+# slope 40 fires 40 times between two events of slope 1: repeated rows share a block
+@example([0, 1, 3, 7, 20], [1, 40], False, 0, 0, Fr(1, 2), Fr(3))
+# near 10**18 a slope's sum of k*dN passes 2**63 (route two must add it in
+# Python ints) and route one's hit keys p*span + g leave int64
+@example([0, 1, 2, 3, 4, 5], [1, 2, 3], False, 0, 10**18, Fr(1, 2), Fr(3))
 def test_delta_routes_match_oracle(xs, ys, zero, shift, far, lo, width):
     # E + 10**30 leaves int64.  far = 10**15 puts the window where the
     # float keys k/|b| of distinct events tie, and makes E span far so that
@@ -262,14 +268,38 @@ def test_delta_routes_match_oracle(xs, ys, zero, shift, far, lo, width):
     w = LambdaWindow(far + lo, far + lo + width)
     want = oracle_delta(E, F, w)
     assert want[0] == want[1]
-    for chunk, band in ((marstrand._DELTA_CHUNK, marstrand._BAND_CHUNK), (3, 2)):
+    defaults = (marstrand._DELTA_CHUNK, marstrand._BAND_CHUNK, marstrand._QUAD_BLOCK)
+    for sizes in (defaults, (3, 2, 1), (3, 2, 2), (3, 2, 3)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(marstrand, "_DELTA_CHUNK", chunk)
-            mp.setattr(marstrand, "_BAND_CHUNK", band)
+            for name, size in zip(("_DELTA_CHUNK", "_BAND_CHUNK", "_QUAD_BLOCK"), sizes):
+                mp.setattr(marstrand, name, size)
             rep = delta_exact(E, F, w)
         got = (rep.exact_value, rep.quadrature_value, rep.positive_pairs, rep.breakpoint_count)
-        assert got == want, chunk
+        assert got == want, sizes
         assert [type(v) for v in got] == [Fr, Fr, int, int]  # JSON-ready
+
+
+def test_delta_quadrature_blocks_on_heavy_collisions(monkeypatch):
+    # shaped like the delta benchmark's largest op: 60 values v, 1000 - v
+    # on each side, so rows collide heavily and slopes fire many times per
+    # block; block size 1 applies one event at a time
+    rng = random.Random(9)
+    halves = [rng.sample(range(500), 30) for _ in range(2)]
+    E, F = (IntegerSet(h + [1000 - v for v in h], "s") for h in halves)
+    w = LambdaWindow(Fr(1), Fr(2))
+    rep = delta_exact(E, F, w)
+    assert rep.agreement
+    monkeypatch.setattr(marstrand, "_QUAD_BLOCK", 1)
+    assert marstrand._delta_quadrature(E, F, w) == rep.exact_value
+
+
+@pytest.mark.parametrize("bound", [1, 2**16, 2**16 + 1, 2**32 + 1, 2**40])
+def test_radix_order_is_a_stable_argsort(bound):
+    rng = np.random.default_rng(bound)
+    keys = rng.integers(0, bound, 5000)
+    keys[::7] = keys[0]  # ties keep their order
+    order = marstrand._radix_order(keys, bound)
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
 
 
 def test_delta_exact_calls_quadrature_through_module_global(monkeypatch):
