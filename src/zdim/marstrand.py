@@ -547,14 +547,15 @@ def _delta_quadrature(E: IntegerSet, F: IntegerSet, window: LambdaWindow) -> Fra
         run[0] = True
         np.not_equal(at_pos[1:], at_pos[:-1], out=run[1:])
         run_at = np.flatnonzero(run)
+        run_end = np.append(run_at[1:], len(pos))
         tally = np.cumsum(signs)  # signed members up to here, through every run
         before = tally - signs
         counter = at_pos[run_at]
         # a member sees the block-start count plus the signs before it in its run
         base = hist[counter] - before[run_at]
-        hist[counter] = base + tally[np.append(run_at[1:], len(pos)) - 1]
+        hist[counter] = base + tally[run_end - 1]
         seen = np.empty(len(pos), dtype=np.int64)
-        seen[by_pos] = before + np.repeat(base, np.diff(np.append(run_at, len(pos))))
+        seen[by_pos] = before + np.repeat(base, run_end - run_at)
         sums = seen.reshape(n, 2, n_e).sum(axis=2)
         dn[s : s + n] = 2 * (sums[:, 1] - sums[:, 0]) + 2 * n_e
     # |dN| <= 2|E|(|F| + 1), as a counter meets each row at most once,
