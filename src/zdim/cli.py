@@ -256,13 +256,14 @@ def cmd_construct(args) -> int:
         E = integer_resonant_set(args.alpha, args.depth)
     else:  # pragma: no cover - argparse choices guard this
         parser.error(f"unknown kind {kind!r}")
-    outputs = [(args.out, E)] + ([(args.out2, second)] if second is not None else [])
-    for path, _ in outputs:  # refuse before the first write: no half of a pair
-        _check_new(args, path)
-    for path, s in outputs:
-        _save(args, s, path)
-    for path, s in outputs:
-        print(f"wrote {path} ({len(s)} elements)")
+    if second is not None:  # refuse before the first write: no half of a pair
+        _check_new(args, args.out2)
+    _save(args, E, args.out)
+    if second is not None:
+        _save(args, second, args.out2)
+    for path, s in ((args.out, E), (args.out2, second)):
+        if s is not None:
+            print(f"wrote {path} ({len(s)} elements)")
     return 0
 
 

@@ -46,7 +46,8 @@ from .measures import ScanSchedule, dimension_estimate
 _OBJECT_GRID_PAIRS = 4_000_000  # largest grid histogrammed on Python ints
 _DELTA_CHUNK = 4096  # fine intervals per chunk of the route-one piece walk
 _BAND_CHUNK = 1 << 22  # differences made at once by _band_histogram
-_QUAD_BLOCK = 128  # events applied at once by _delta_quadrature
+_QUAD_BLOCK = 128  # events applied at once by _delta_quadrature's block update
+_QUAD_ROWS = 128  # longer rows go one event at a time (_quad_events)
 
 
 @dataclass(frozen=True)
@@ -452,6 +453,73 @@ def _radix_order(keys: np.ndarray, bound: int) -> np.ndarray:
     return order
 
 
+def _quad_events(cur: np.ndarray, hist: np.ndarray, owner: np.ndarray, steps) -> np.ndarray:
+    """dN of every event of _delta_quadrature, one event at a time.
+
+    The event moves row j = owner[e] of cur by steps[j]: its old counters
+    lose one, then its new counters gain one.  Updates hist and cur.
+    """
+    two_e = 2 * cur.shape[1]
+    dn = np.empty(len(owner), dtype=np.int64)
+    for e, j in enumerate(owner.tolist()):
+        old = cur[j]
+        new = old + steps[j]
+        h = hist[old]
+        hist[old] = h - 1
+        h2 = hist[new]
+        hist[new] = h2 + 1
+        dn[e] = 2 * int(np.add.reduce(h2 - h)) + two_e
+        cur[j] = new
+    return dn
+
+
+def _quad_blocks(
+    cur: np.ndarray, hist: np.ndarray, owner: np.ndarray, rank: np.ndarray, steps, size: int
+) -> np.ndarray:
+    """dN of every event of _delta_quadrature, _QUAD_BLOCK events at a time.
+
+    Event e moves row owner[e] from offset rank[e]*step to (rank[e] + 1)*step,
+    so a row may fire more than once in a block.  A member is one event's
+    old row (-1) or new row (+1), in event order.  The value a member sees
+    at a counter is the block-start histogram there plus the signs of the
+    earlier members at that counter, so one gather, one stable radix sort
+    by counter, a cumsum per run of equal counters and one scatter of the
+    run totals update hist and give every event's dN.  Updates hist.
+    """
+    n_e = cur.shape[1]
+    step = np.array(steps, dtype=np.int64)[owner]
+    offset = rank * step
+    sign = np.ones((min(_QUAD_BLOCK, len(owner)), 2, n_e), dtype=np.int64)
+    sign[:, 0] = -1
+    sign = sign.ravel()
+    dn = np.empty(len(owner), dtype=np.int64)
+    for s in range(0, len(owner), _QUAD_BLOCK):
+        rows = owner[s : s + _QUAD_BLOCK]
+        n = len(rows)
+        pos = np.empty((n, 2, n_e), dtype=np.int64)
+        np.add(cur[rows], offset[s : s + n, None], out=pos[:, 0])
+        np.add(pos[:, 0], step[s : s + n, None], out=pos[:, 1])
+        pos = pos.ravel()
+        by_pos = _radix_order(pos, size)
+        at_pos, signs = pos[by_pos], sign[: len(pos)][by_pos]
+        run = np.empty(len(pos), dtype=bool)
+        run[0] = True
+        np.not_equal(at_pos[1:], at_pos[:-1], out=run[1:])
+        run_at = np.flatnonzero(run)
+        run_end = np.append(run_at[1:], len(pos))
+        tally = np.cumsum(signs)  # signed members up to here, through every run
+        before = tally - signs
+        counter = at_pos[run_at]
+        # a member sees the block-start count plus the signs before it in its run
+        base = hist[counter] - before[run_at]
+        hist[counter] = base + tally[run_end - 1]
+        seen = np.empty(len(pos), dtype=np.int64)
+        seen[by_pos] = before + np.repeat(base, run_end - run_at)
+        sums = seen.reshape(n, 2, n_e).sum(axis=2)
+        dn[s : s + n] = 2 * (sums[:, 1] - sums[:, 0]) + 2 * n_e
+    return dn
+
+
 def _delta_quadrature(E: IntegerSet, F: IntegerSet, window: LambdaWindow) -> Fraction:
     """Route two of delta_exact: integrate the collision energy N(lam).
 
@@ -469,14 +537,12 @@ def _delta_quadrature(E: IntegerSet, F: IntegerSet, window: LambdaWindow) -> Fra
     old counters, then adds the new ones (each duplicate-free), which
     changes N by 2*(sum h_new - sum h_old) + 2|E|.
 
-    The events are applied in blocks of _QUAD_BLOCK; a row may fire more
-    than once in a block.  A member is one event's old row (-1) or new
-    row (+1), in event order.  The value a member sees at a counter is
-    the block-start histogram there plus the signs of the earlier
-    members at that counter, so one gather, one stable radix sort by
-    counter, a cumsum per run of equal counters and one scatter of the
-    run totals update the histogram and give every event's dN.  By Abel
-    summation the integral is hi*N_end - lo*N_start - sum over events of
+    Rows of up to _QUAD_ROWS counters are applied _QUAD_BLOCK events at a
+    time by one radix sort per block (_quad_blocks): on short rows numpy's
+    per-call cost dominates a per-event update.  Longer rows are applied
+    one event at a time (_quad_events): there the block's sort and
+    gathers over 2*_QUAD_BLOCK*|E| members cost more than the calls they
+    save, and its arrays would grow with |E|.  By Abel summation the integral is hi*N_end - lo*N_start - sum over events of
     t*dN, and grouping t*dN = k*dN/|b| by b leaves one integer and one
     Fraction per slope: int64 when a bound on every slope's sum of
     |k*dN| is below 2**62, Python ints otherwise.
@@ -526,42 +592,14 @@ def _delta_quadrature(E: IntegerSet, F: IntegerSet, window: LambdaWindow) -> Fra
     size = int(sizes.sum())
     hist = np.bincount(cur.ravel(), minlength=size)
     start_energy = int(hist @ hist)
-    # event e moves row owner[e] from offset rank[e]*step to (rank[e] + 1)*step
-    step = np.array(steps, dtype=np.int64)[owner]
-    offset = rank * step
-    n_e = len(E)
-    sign = np.ones((_QUAD_BLOCK, 2, n_e), dtype=np.int64)
-    sign[:, 0] = -1
-    sign = sign.ravel()
-    dn = np.empty(len(owner), dtype=np.int64)
-    for s in range(0, len(owner), _QUAD_BLOCK):
-        rows = owner[s : s + _QUAD_BLOCK]
-        n = len(rows)
-        pos = np.empty((n, 2, n_e), dtype=np.int64)
-        np.add(cur[rows], offset[s : s + n, None], out=pos[:, 0])
-        np.add(pos[:, 0], step[s : s + n, None], out=pos[:, 1])
-        pos = pos.ravel()
-        by_pos = _radix_order(pos, size)
-        at_pos, signs = pos[by_pos], sign[: len(pos)][by_pos]
-        run = np.empty(len(pos), dtype=bool)
-        run[0] = True
-        np.not_equal(at_pos[1:], at_pos[:-1], out=run[1:])
-        run_at = np.flatnonzero(run)
-        run_end = np.append(run_at[1:], len(pos))
-        tally = np.cumsum(signs)  # signed members up to here, through every run
-        before = tally - signs
-        counter = at_pos[run_at]
-        # a member sees the block-start count plus the signs before it in its run
-        base = hist[counter] - before[run_at]
-        hist[counter] = base + tally[run_end - 1]
-        seen = np.empty(len(pos), dtype=np.int64)
-        seen[by_pos] = before + np.repeat(base, run_end - run_at)
-        sums = seen.reshape(n, 2, n_e).sum(axis=2)
-        dn[s : s + n] = 2 * (sums[:, 1] - sums[:, 0]) + 2 * n_e
+    if len(E) > _QUAD_ROWS:
+        dn = _quad_events(cur, hist, owner, steps)
+    else:
+        dn = _quad_blocks(cur, hist, owner, rank, steps, size)
     # |dN| <= 2|E|(|F| + 1), as a counter meets each row at most once,
     # and a slope's k sum to at most its count times its last k
     k_sum = max((k + c - 1) * c for k, c in zip(firsts, counts))
-    wide_sum = k_sum * 2 * n_e * (len(fvals) + 1) >= _INT64_LIMIT
+    wide_sum = k_sum * 2 * len(E) * (len(fvals) + 1) >= _INT64_LIMIT
     kd_type = object if wide_sum else np.int64
     weighted = np.zeros(len(fvals), dtype=kd_type)  # sum of k * dN over the events of each b
     np.add.at(weighted, owner, ks.astype(kd_type) * dn.astype(kd_type))

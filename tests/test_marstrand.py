@@ -268,10 +268,14 @@ def test_delta_routes_match_oracle(xs, ys, zero, shift, far, lo, width):
     w = LambdaWindow(far + lo, far + lo + width)
     want = oracle_delta(E, F, w)
     assert want[0] == want[1]
-    defaults = (marstrand._DELTA_CHUNK, marstrand._BAND_CHUNK, marstrand._QUAD_BLOCK)
-    for sizes in (defaults, (3, 2, 1), (3, 2, 2), (3, 2, 3)):
+    # _QUAD_ROWS = 0 applies route two's events one at a time; a large one
+    # applies them in blocks of _QUAD_BLOCK whatever |E| is
+    names = ("_DELTA_CHUNK", "_BAND_CHUNK", "_QUAD_BLOCK", "_QUAD_ROWS")
+    defaults = tuple(getattr(marstrand, name) for name in names)
+    many = 10**9
+    for sizes in (defaults, (3, 2, 1, many), (3, 2, 2, many), (3, 2, 3, many), (3, 2, 1, 0)):
         with pytest.MonkeyPatch.context() as mp:
-            for name, size in zip(("_DELTA_CHUNK", "_BAND_CHUNK", "_QUAD_BLOCK"), sizes):
+            for name, size in zip(names, sizes):
                 mp.setattr(marstrand, name, size)
             rep = delta_exact(E, F, w)
         got = (rep.exact_value, rep.quadrature_value, rep.positive_pairs, rep.breakpoint_count)
@@ -279,17 +283,22 @@ def test_delta_routes_match_oracle(xs, ys, zero, shift, far, lo, width):
         assert [type(v) for v in got] == [Fr, Fr, int, int]  # JSON-ready
 
 
-def test_delta_quadrature_blocks_on_heavy_collisions(monkeypatch):
+@pytest.mark.parametrize("block, rows", [(1, None), (None, 0)])
+def test_delta_quadrature_blocks_on_heavy_collisions(monkeypatch, block, rows):
     # shaped like the delta benchmark's largest op: 60 values v, 1000 - v
     # on each side, so rows collide heavily and slopes fire many times per
-    # block; block size 1 applies one event at a time
+    # block of the default size; against block size 1 and the event loop
+    assert 60 <= marstrand._QUAD_ROWS  # the default is the block update
     rng = random.Random(9)
     halves = [rng.sample(range(500), 30) for _ in range(2)]
     E, F = (IntegerSet(h + [1000 - v for v in h], "s") for h in halves)
     w = LambdaWindow(Fr(1), Fr(2))
     rep = delta_exact(E, F, w)
     assert rep.agreement
-    monkeypatch.setattr(marstrand, "_QUAD_BLOCK", 1)
+    if block is not None:
+        monkeypatch.setattr(marstrand, "_QUAD_BLOCK", block)
+    if rows is not None:
+        monkeypatch.setattr(marstrand, "_QUAD_ROWS", rows)
     assert marstrand._delta_quadrature(E, F, w) == rep.exact_value
 
 
