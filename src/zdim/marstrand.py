@@ -7,16 +7,17 @@ window (computed two independent ways), per-lambda collision
 histograms with their Cauchy-Schwarz bound, and randomized sweeps
 estimating the dimension of E + floor(lam*F) across a window.
 
-Delta runs on integer arrays, exactly.  delta_exact walks the pieces of
-every slope pair in chunks and reads its weights from the histogram of
-the differences of E within the band a floor gap can reach;
-_delta_quadrature integrates the collision energy on its own histogram
-of a + floor(lam*b), updated in blocks of breakpoints.  Rational
-values are carried as integer numerators over known grids, and only a
-few Fractions are built at the end.  The int64 paths run only where a
-bound proves that no product leaves int64 (and the event order only
-where float keys are proven exact); object dtype, or a Fraction sort,
-takes over otherwise, with the same code.
+Delta runs on integer arrays, exactly.  delta_exact walks every slope
+pair one cell of its smaller slope at a time, in chunks, and reads its
+weights from prefix sums over the histogram of the differences of E
+within the band a floor gap can reach; _delta_quadrature integrates
+the collision energy on its own histogram of a + floor(lam*b), updated
+in blocks of breakpoints.  Rational values are carried as integer
+numerators over known grids, and only a few Fractions are built at the
+end.  The int64 paths run only where a bound proves that no product
+leaves int64 (and the event order only where float keys are proven
+exact); object dtype, or a Fraction sort, takes over otherwise, with
+the same code.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .intset import _INT64_LIMIT, IntegerSet, Interval
 from .measures import ScanSchedule, dimension_estimate
 
 _OBJECT_GRID_PAIRS = 4_000_000  # largest grid histogrammed on Python ints
-_DELTA_CHUNK = 4096  # fine intervals per chunk of the route-one piece walk
+_DELTA_CHUNK = 4096  # coarse cells per chunk of the route-one walk
 _BAND_CHUNK = 1 << 22  # differences made at once by _band_histogram
 _QUAD_BLOCK = 128  # events applied at once by _delta_quadrature's block update
 _QUAD_ROWS = 128  # longer rows go one event at a time (_quad_events)
@@ -255,18 +256,19 @@ class DeltaReport:
 
 
 def _band_histogram(xs: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
-    """Histogram (values, counts) of the differences a' - a, |a' - a| <= bound.
+    """Histogram (values, counts) of the differences a' - a in [0, bound].
 
     xs is E's sorted, duplicate-free element array.  Only the pairs
-    inside the band are made: for each a, the a' > a up to a + bound end
+    inside the band are made: for each a, the a' >= a up to a + bound end
     at a searchsorted rank, and their differences are generated by
-    ragged arange in chunks of _BAND_CHUNK pairs and counted by sorting.
-    The negative side mirrors the positive one, and 0 counts |E|.
+    ragged arange in chunks of _BAND_CHUNK pairs and counted by sorting,
+    so 0 counts |E|.  No negative difference is needed: for b' < b and
+    lam > 0 the floor gap floor(lam*b) - floor(lam*b') is at least 0.
     """
     if xs.dtype != object and bound >= _INT64_LIMIT:
         xs = xs.astype(object)  # a + bound may leave int64
     n = len(xs)
-    lens = np.searchsorted(xs, xs + bound, side="right") - np.arange(1, n + 1)
+    lens = np.searchsorted(xs, xs + bound, side="right") - np.arange(n)
     ends = np.cumsum(lens)
     parts = []
     start = 0
@@ -274,98 +276,94 @@ def _band_histogram(xs: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]
         base = int(ends[start - 1]) if start else 0
         stop = max(start + 1, int(np.searchsorted(ends, base + _BAND_CHUNK, side="right")))
         rows = np.repeat(np.arange(start, stop), lens[start:stop])
-        if len(rows):
-            # pair t of row r is (r, r + 1 + t - first pair of r)
-            firsts = ends[start:stop] - lens[start:stop] - base
-            cols = np.arange(len(rows)) - firsts[rows - start] + rows + 1
-            parts.append(_sorted_runs(xs[cols] - xs[rows]))
+        # pair t of row r is (r, r + t - first pair of r)
+        firsts = ends[start:stop] - lens[start:stop] - base
+        cols = np.arange(len(rows)) - firsts[rows - start] + rows
+        parts.append(_sorted_runs(xs[cols] - xs[rows]))
         start = stop
-    if not parts:
-        pos, mult = xs[:0], lens[:0]
-    elif len(parts) == 1:
-        pos, mult = parts[0]
-    else:
-        pos, mult = _sorted_runs(*(np.concatenate(p) for p in zip(*parts)))
-    return (
-        np.concatenate((-pos[::-1], np.zeros(1, pos.dtype), pos)),
-        np.concatenate((mult[::-1], [n], mult)),
-    )
+    if len(parts) == 1:
+        return parts[0]
+    return _sorted_runs(*(np.concatenate(p) for p in zip(*parts)))
 
 
-def _gap_counts(values: np.ndarray, counts: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    """counts[i] where values[i] == gap, else 0, for each gap; values sorted."""
-    i = np.minimum(np.searchsorted(values, gaps), len(values) - 1)
-    return np.where(values[i] == gaps, counts[i], 0)
-
-
-def _slope_row(b2, bs, lo, hi, den, values, counts, gap_bound):
+def _slope_row(b2, bs, lo, hi, den, values, counts, below):
     """Route one for the slope pairs (b2, b), b in bs, every b > b2.
 
     Returns (grids, numerators, weight, breakpoints): pair p spends
     numerators[p] / grids[p] of window measure on gaps g, each piece
     weighted by its number of a-differences g; weight adds those numbers
     over the distinct gaps each pair hits, and breakpoints counts the
-    inner cuts of all pairs.
+    inner cuts of all pairs.  values (sorted, closed by a sentinel above
+    every gap) and counts hold the histogram, below[j] = sum(counts[:j]).
+
+    A pair is walked one cell of its smaller slope at a time, in chunks
+    of _DELTA_CHUNK cells; a zero slope never cuts and gives one cell,
+    [0, nhi).  On fine interval k of cell i the gap is k + sign*i +
+    offset (sign -1 for one sign, +1 for opposite signs, 0 with a zero
+    slope), so a cell's gaps rise one per fine interval from g1 to g2:
+    its end pieces are weighted by their lengths, the fine intervals
+    between them by prefix sums.  For one sign the gap falls by at most
+    one at a coarse cut and a full cell holds two gaps or more, so a pair
+    hits every gap from its least (in its first two cells) to its
+    greatest (in its last two).  For opposite signs it never falls and
+    skips one where both slopes cut, so distinct cells hit distinct gaps.
     """
     m_fine = np.maximum(np.abs(bs), abs(b2))
     m_coarse = np.minimum(np.abs(bs), abs(b2))
     grid = np.lcm(np.lcm(m_fine, np.maximum(m_coarse, 1)), den)
-    fine = grid // m_fine
-    # a zero slope has no breakpoints: a coarse step equal to the fine one
-    # never splits a fine interval
-    coarse = np.where(m_coarse == 0, fine, grid // np.maximum(m_coarse, 1))
     nlo = lo.numerator * (grid // lo.denominator)
     nhi = hi.numerator * (grid // hi.denominator)
-    k0 = nlo // fine
-    nint = (-(-nhi // fine) - k0).astype(np.int64)  # fine intervals per pair
-    ends = np.cumsum(nint)
-    intervals = int(ends[-1])
+    fine = grid // m_fine
+    zero = m_coarse == 0
+    coarse = np.where(zero, nhi, grid // np.maximum(m_coarse, 1))
+    both = np.where(zero, nhi, grid // np.gcd(m_fine, m_coarse))  # cuts of both slopes
+
+    def inner(step):  # multiples of step strictly inside (nlo, nhi)
+        return (nhi - 1) // step - nlo // step
+
+    breakpoints = sum((inner(fine) + inner(coarse) - inner(both)).tolist())
+    sign = ((bs < 0).astype(np.int64) - (bs > 0)) * ((b2 > 0) - (b2 < 0))
+    offset = int(b2 < 0) - (bs < 0).astype(np.int64)
+
+    def gap_after(x):  # the gap on (x, x + 1), x a grid point
+        return x // fine + sign * (x // coarse) + offset
+
+    # pairs of one sign or with a zero slope come first in the row
+    rising = int(np.count_nonzero(sign <= 0))
+    i0, i1 = nlo // coarse, (nhi - 1) // coarse  # the first and last cell of each pair
+    least = np.minimum(gap_after(nlo), gap_after(np.minimum(i0 * coarse + coarse, nhi - 1)))
+    most = np.maximum(gap_after(nhi - 1), gap_after(np.maximum(i1 * coarse - 1, nlo)))
+    top = np.searchsorted(values, most, side="right")
+    weight = sum((below[top] - below[np.searchsorted(values, least)])[:rising].tolist())
+    ncell = (i1 - i0 + 1).astype(np.int64)
+    ends = np.cumsum(ncell)
+    i0 = i0 - (ends - ncell)  # the x-th cell walked is cell x + i0[p] of its pair p
+    cells = int(ends[-1])
+    skip = int(ends[rising - 1]) if rising else 0  # cells before those of opposite signs
     num = np.zeros(len(bs), dtype=bs.dtype)
-    weight = splits = 0
-    span = 2 * gap_bound + 1
-    carry, carried = np.empty(0, bs.dtype), 0
-
-    def hit_weight(keys):
-        return int(_gap_counts(values, counts, keys % span - gap_bound).sum())
-
-    for start in range(0, intervals, _DELTA_CHUNK):
-        x = np.arange(start, min(start + _DELTA_CHUNK, intervals))
+    for start in range(0, cells, _DELTA_CHUNK):
+        x = np.arange(start, min(start + _DELTA_CHUNK, cells))
         p = np.searchsorted(ends, x, side="right")
-        step = fine[p]
-        cut = (k0[p] + x - (ends[p] - nint[p])) * step
+        i = x + i0[p]
+        f, c = fine[p], coarse[p]
+        cut = i * c
         left = np.maximum(cut, nlo[p])
-        right = np.minimum(cut + step, nhi[p])
-        c = coarse[p]
-        mid = np.minimum((left // c + 1) * c, right)  # the coarse cut, else right
-        b, two_grid = bs[p], 2 * grid[p]
-        ga = ((left + mid) * b) // two_grid - ((left + mid) * b2) // two_grid
-        gb = ((mid + right) * b) // two_grid - ((mid + right) * b2) // two_grid
-        la, lb = mid - left, right - mid
-        ca = _gap_counts(values, counts, ga)
-        cb = _gap_counts(values, counts, gb)
-        first = np.flatnonzero(np.diff(p, prepend=-1))
-        num[p[first]] += np.add.reduceat(ca * la + cb * lb, first)
-        splits += int(np.count_nonzero(lb))
-        # distinct (pair, gap) hits by sort-and-mask on the key
-        # p*span + g + gap_bound; carried keys were counted in the last chunk
-        key = p.astype(bs.dtype, copy=False) * span + gap_bound
-        ha, hb = ca > 0, (cb > 0) & (lb > 0)
-        keys = np.sort(np.concatenate((carry, key[ha] + ga[ha], key[hb] + gb[hb])))
-        new = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        keys = keys[new]
-        weight += hit_weight(keys) - carried
-        last = int(p[-1])
-        if x[-1] + 1 < ends[last]:
-            # the pair goes on past lam* = right/grid; every gap lies
-            # strictly within 1 of lam*(b - b2), so only its hits of at
-            # least floor(lam* (b - b2)) can recur
-            floor_gap = right[-1] * (bs[last] - b2) // grid[last]
-            carry = keys[keys >= last * span + floor_gap + gap_bound]
-            carried = hit_weight(carry)
-        else:
-            carry, carried = carry[:0], 0
-    return grid, num, weight, intervals - len(bs) + splits
+        right = np.minimum(cut + c, nhi[p])
+        kl, kr = left // f, (right - 1) // f
+        base = sign[p] * i + offset[p]
+        g1, g2 = kl + base, kr + base
+        j1, j2 = np.searchsorted(values, g1), np.searchsorted(values, g2)
+        n1 = np.where(values[j1] == g1, counts[j1], 0)
+        n2 = np.where(values[j2] == g2, counts[j2], 0)
+        s1, s2 = below[j1], below[j2]
+        # with g1 == g2 the last term takes back the overlap of the two ends
+        cell = n1 * ((kl + 1) * f - left) + n2 * (right - kr * f) + f * (s2 - s1 - n1)
+        at = np.flatnonzero(np.diff(p, prepend=-1))
+        num[p[at]] += np.add.reduceat(cell, at)
+        o = max(skip - start, 0)
+        if o < len(x):
+            weight += int((s2[o:] + n2[o:] - s1[o:]).sum())
+    return grid, num, weight, breakpoints
 
 
 def delta_exact(
@@ -375,18 +373,16 @@ def delta_exact(
 
     The diagonal z == z' gives |E||F| times the window measure.  Route
     one adds twice the measure of every slope pair b' < b of F, walked
-    one row (fixed b') at a time and in chunks of _DELTA_CHUNK fine
-    intervals.  On the integer grid lcm(|b|, |b'|, window denominators)
-    the breakpoints of lam*b and lam*b' are the multiples of grid/|b|
-    and grid/|b'|.  The larger slope gives the fine step; a fine
-    interval is no longer than the coarse step, so it holds at most one
-    coarse breakpoint, and the pieces are the fine intervals split at
-    most once, built by arange arithmetic with no sort.  The floor gap
-    g of a piece is evaluated in integers at its midpoint, and the
-    number of ordered pairs with a' - a = g is looked up in the sorted
-    histogram of the differences with |a' - a| <= gap_bound, the band
-    every gap lies in (_band_histogram).  Piece lengths times
-    counts are summed per pair (int64 when a bound on every grid
+    one row (fixed b') at a time, in chunks of _DELTA_CHUNK cells of the
+    coarse slope (_slope_row).  On the integer grid lcm(|b|, |b'|, window
+    denominators) the breakpoints of lam*b and lam*b' are the multiples
+    of grid/|b| and grid/|b'|.  Inside a cell of the smaller slope the
+    floor gap g = floor(lam*b) - floor(lam*b') rises by one at each cut
+    of the larger, so a cell's measure on each gap comes from its two
+    end pieces and a prefix sum over the histogram of the differences
+    a' - a in [0, gap_bound], the band every gap lies in
+    (_band_histogram): one searchsorted per cell end, none per piece.
+    Cell numerators are summed per pair (int64 when a bound on every
     product, taken from F, |E| and the window, is below 2**62, object
     dtype otherwise), grouped by grid and added as Fractions.
 
@@ -394,7 +390,8 @@ def delta_exact(
     across every breakpoint of lam*F on its own histogram of
     a + floor(lam*b).  Both are exact; the report carries both values.
     positive_pairs counts ordered pairs whose collision set has positive
-    measure and breakpoint_count the inner cuts of route one.
+    measure and breakpoint_count the inner cuts of route one, counted
+    per pair in closed form.
     """
     if len(E) == 0 or len(F) == 0:
         raise ValueError("empty set")
@@ -412,21 +409,28 @@ def delta_exact(
     if len(fvals) > 1:  # the differences are read per pair of slopes only
         bmax = max(abs(fvals[0]), abs(fvals[-1]))
         den = _lcm(lo.denominator, hi.denominator)
-        gap_bound = math.floor(2 * bmax * hi) + 1  # |g| < lam*|b - b'| + 1
-        # grids are at most bmax**2 * den: this bounds every product of
-        # the walk, and the hit keys are below |F| * (2*gap_bound + 1)
+        gap_bound = math.floor(2 * bmax * hi) + 1  # 0 <= g < lam*(b - b') + 1
+        # Grids are at most G = bmax**2 * den, steps at most max(hi, 1)*G
+        # (a zero slope's cell is [0, nhi)), the ends i*c + c and k*f + f
+        # at most nhi = hi*grid plus a step.  A cell's three terms are each
+        # at most |E| steps, so their sum stays below 1.5 * 2**62; prefix
+        # sums count at most |E|(|E| + 1)/2 differences a' - a >= 0, and a
+        # chunk adds the gap weights of fewer than |F| pairs.
+        n = len(E)
         fits = (
-            2 * max(hi, 1) * bmax**2 * den * max(bmax, len(E)) < _INT64_LIMIT
-            and len(fvals) * (2 * gap_bound + 1) < _INT64_LIMIT
+            2 * max(hi, 1) * bmax**2 * den * n < _INT64_LIMIT
+            and len(fvals) * n * (n + 1) // 2 < _INT64_LIMIT
         )
         dtype = np.int64 if fits else object
         values, counts = _band_histogram(E._array(), gap_bound)
-        values, counts = values.astype(dtype), counts.astype(dtype)
+        values = np.append(values.astype(dtype), gap_bound + 1)  # the sentinel
+        counts = np.append(counts.astype(dtype), 0)
+        below = np.cumsum(counts) - counts
         f = np.array(fvals, dtype=dtype)
         by_grid: dict[int, int] = {}
         for i in range(len(fvals) - 1):
             grids, nums, weight, cuts = _slope_row(
-                fvals[i], f[i + 1 :], lo, hi, den, values, counts, gap_bound
+                fvals[i], f[i + 1 :], lo, hi, den, values, counts, below
             )
             positive += 2 * weight
             breakpoints += cuts
@@ -542,10 +546,12 @@ def _delta_quadrature(E: IntegerSet, F: IntegerSet, window: LambdaWindow) -> Fra
     per-call cost dominates a per-event update.  Longer rows are applied
     one event at a time (_quad_events): there the block's sort and
     gathers over 2*_QUAD_BLOCK*|E| members cost more than the calls they
-    save, and its arrays would grow with |E|.  By Abel summation the integral is hi*N_end - lo*N_start - sum over events of
-    t*dN, and grouping t*dN = k*dN/|b| by b leaves one integer and one
-    Fraction per slope: int64 when a bound on every slope's sum of
-    |k*dN| is below 2**62, Python ints otherwise.
+    save, and its arrays would grow with |E|.
+
+    By Abel summation the integral is hi*N_end - lo*N_start - sum over
+    events of t*dN, and grouping t*dN = k*dN/|b| by b leaves one integer
+    and one Fraction per slope: int64 when a bound on every slope's sum
+    of |k*dN| is below 2**62, Python ints otherwise.
     """
     lo, hi = window.lo, window.hi
     fvals = F.elements

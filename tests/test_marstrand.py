@@ -238,6 +238,9 @@ def test_delta_riemann_corridor():
 
 
 _WINDOW_ENDS = st.fractions(min_value=Fr(1, 10), max_value=3, max_denominator=12)
+# for E = {0, 1, 2, far, far + 1, far + 2}, F = {1, 2} and windows (hi - 1, hi]
+# route one runs in int64 exactly when 2 * hi * 2**2 * |E| < 2**62
+_INT64_HI = ((1 << 62) - 1) // 48
 
 
 @settings(max_examples=60, deadline=None)
@@ -256,8 +259,22 @@ _WINDOW_ENDS = st.fractions(min_value=Fr(1, 10), max_value=3, max_denominator=12
 # slope 40 fires 40 times between two events of slope 1: repeated rows share a block
 @example([0, 1, 3, 7, 20], [1, 40], False, 0, 0, Fr(1, 2), Fr(3))
 # near 10**18 a slope's sum of k*dN passes 2**63 (route two must add it in
-# Python ints) and route one's hit keys p*span + g leave int64
+# Python ints) and route one's int64 bound fails, so it runs in object dtype
 @example([0, 1, 2, 3, 4, 5], [1, 2, 3], False, 0, 10**18, Fr(1, 2), Fr(3))
+# equal slopes of opposite signs cut together: every gap 2k + 1 is hit and
+# every even gap skipped, though E has differences there
+@example(list(range(9)), [-3, 3], False, 0, 0, Fr(1, 2), Fr(3))
+# a zero slope: one cell per pair, window ends on multiples of 1/7
+@example([0, 2, 5, 11], [0, 7], False, 0, 0, Fr(3, 7), Fr(10, 7))
+# slopes 2 and 3 over (4/9, 5/9]: the gap falls from 1 to 0 at the coarse
+# cut 1/2, so the greatest gap lies in the first cell and the least in the last
+@example([0, 1], [2, 3], False, 0, 0, Fr(4, 9), Fr(1, 9))
+# both slopes negative
+@example([0, 1, 4, 9], [-5, -2], False, 0, 0, Fr(1, 3), Fr(5, 2))
+# the last window for which route one's bound admits int64, and the first
+# beyond it (test_delta_exact_int64_boundary)
+@example([0, 1, 2], [1, 2], False, 0, _INT64_HI - 2, Fr(1), Fr(1))
+@example([0, 1, 2], [1, 2], False, 0, _INT64_HI - 1, Fr(1), Fr(1))
 def test_delta_routes_match_oracle(xs, ys, zero, shift, far, lo, width):
     # E + 10**30 leaves int64.  far = 10**15 puts the window where the
     # float keys k/|b| of distinct events tie, and makes E span far so that
@@ -273,7 +290,15 @@ def test_delta_routes_match_oracle(xs, ys, zero, shift, far, lo, width):
     names = ("_DELTA_CHUNK", "_BAND_CHUNK", "_QUAD_BLOCK", "_QUAD_ROWS")
     defaults = tuple(getattr(marstrand, name) for name in names)
     many = 10**9
-    for sizes in (defaults, (3, 2, 1, many), (3, 2, 2, many), (3, 2, 3, many), (3, 2, 1, 0)):
+    # _DELTA_CHUNK = 1 puts every cell of a pair in a chunk of its own
+    for sizes in (
+        defaults,
+        (1, 2, 1, many),
+        (3, 2, 1, many),
+        (3, 2, 2, many),
+        (3, 2, 3, many),
+        (3, 2, 1, 0),
+    ):
         with pytest.MonkeyPatch.context() as mp:
             for name, size in zip(names, sizes):
                 mp.setattr(marstrand, name, size)
@@ -281,6 +306,42 @@ def test_delta_routes_match_oracle(xs, ys, zero, shift, far, lo, width):
         got = (rep.exact_value, rep.quadrature_value, rep.positive_pairs, rep.breakpoint_count)
         assert got == want, sizes
         assert [type(v) for v in got] == [Fr, Fr, int, int]  # JSON-ready
+
+
+@pytest.mark.parametrize("far, dtype", [(_INT64_HI - 2, np.int64), (_INT64_HI - 1, object)])
+def test_delta_exact_int64_boundary(monkeypatch, far, dtype):
+    seen = []
+    slope_row = marstrand._slope_row
+
+    def spy(*args):
+        seen.append(args[-1].dtype)
+        return slope_row(*args)
+
+    monkeypatch.setattr(marstrand, "_slope_row", spy)
+    E = IntegerSet([x + d for x in (0, 1, 2) for d in (0, far)], "e")
+    rep = delta_exact(E, IntegerSet([1, 2], "f"), LambdaWindow(far + 1, far + 2))
+    assert seen == [np.dtype(dtype)]
+    assert rep.agreement
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_slope_row_walks_cells_not_fine_intervals(dtype):
+    # slopes 1 and 10**7 over (1/2, 3/2]: 10**7 fine intervals, two cells
+    # of the coarse slope.  Gap 10**7 - 1 holds on [1 - 10**-7, 1 + 10**-7)
+    # and gap 10**7 + 1 on [1 + 2*10**-7, 1 + 3*10**-7); E has one
+    # difference at each, so the pair spends 2 + 1 of 1/10**7 on them
+    E = np.array([0, 10**7 - 1, 2 * 10**7])
+    lo, hi = Fr(1, 2), Fr(3, 2)
+    gap_bound = math.floor(2 * 10**7 * hi) + 1
+    values, counts = marstrand._band_histogram(E, gap_bound)
+    values = np.append(values.astype(dtype), gap_bound + 1)
+    counts = np.append(counts.astype(dtype), 0)
+    below = np.cumsum(counts) - counts
+    bs = np.array([10**7], dtype=dtype)
+    grids, nums, weight, cuts = marstrand._slope_row(1, bs, lo, hi, 2, values, counts, below)
+    assert (grids.tolist(), nums.tolist(), weight) == ([10**7], [3], 2)
+    # the fine cuts strictly inside, the coarse cut at 1 among them
+    assert cuts == 10**7 - 1
 
 
 @pytest.mark.parametrize("block, rows", [(1, None), (None, 0)])
