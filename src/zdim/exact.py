@@ -38,11 +38,6 @@ def iroot(x: int, k: int) -> int:
     return r
 
 
-def floor_pow(x: int, num: int, den: int) -> int:
-    """floor(x ** (num/den)) for integer x >= 0 and num, den >= 1."""
-    return iroot(x**num, den)
-
-
 def ceil_pow(x: int, num: int, den: int) -> int:
     """ceil(x ** (num/den)) for integer x >= 0 and num, den >= 1."""
     p = x**num

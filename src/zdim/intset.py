@@ -14,15 +14,15 @@ An ``IntegerSet`` stores one sorted numpy array: int64 while every
 element lies strictly within +-``_INT64_LIMIT``, object dtype of Python
 ints beyond, so the numpy routes and the big-integer routes read the
 same storage.  The tuple ``elements`` is built on first access only.
-``.zset`` files are written in blocks and read in chunks of lines
-parsed whole into arrays; a line loop handles comments, blank lines
-and every format error.
+``.zset`` files are written in blocks of lines.  numpy's C parser
+(``np.loadtxt``) reads the body below the top comments; a line loop
+reads any body it refuses and raises every format error.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -57,13 +57,6 @@ class Interval:
         return self.lo < x <= self.hi
 
     __contains__ = contains
-
-    def intersect(self, other: "Interval") -> Optional["Interval"]:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo >= hi:
-            return None
-        return Interval(lo, hi)
 
     def __str__(self) -> str:
         return f"({self.lo}, {self.hi}]"
@@ -230,7 +223,7 @@ class IntegerSet:
         return Interval(int(self._xs[0]) - 1, int(self._xs[-1]))
 
 
-_BLOCK_LINES = 1 << 16  # .zset lines per block written, and per chunk read
+_BLOCK_LINES = 1 << 16  # .zset lines per block written
 
 
 def write_zset(s: IntegerSet, path: str) -> None:
@@ -244,35 +237,27 @@ def write_zset(s: IntegerSet, path: str) -> None:
             fh.write(("%d\n" * len(block)) % tuple(block))
 
 
-def _parse_chunk(lines: list[str], prev: Optional[int]) -> Optional[np.ndarray]:
-    """The elements of a chunk of body lines, or None if it needs the line loop.
-
-    Only a chunk of integer lines increasing strictly from prev takes
-    this path; comments, blank lines and every error go to _parse_lines.
-    """
-    try:
-        xs = _int_array(list(map(int, lines)))
-    except ValueError:
-        return None
-    if (prev is not None and xs[0] <= prev) or not np.all(xs[1:] > xs[:-1]):
-        return None
-    return xs
+def _provenance(line: str, provenance: str) -> str:
+    """The provenance after a stripped comment line: "#provenance ..." sets it."""
+    if line.startswith("#provenance"):
+        return line[len("#provenance"):].strip() or provenance
+    return provenance
 
 
-def _parse_lines(lines, lineno, prev, provenance):
-    """Parse body lines one by one, from line number lineno, after prev.
+def _parse_lines(fh) -> tuple[np.ndarray, str]:
+    """Parse the body of an open .zset file line by line, from line 2.
 
     Returns (elements as an array, provenance); raises ZsetFormatError
     with the offending line number.
     """
     elements: list[int] = []
-    for lineno, raw in enumerate(lines, start=lineno):
+    provenance, prev = "unspecified", None
+    for lineno, raw in enumerate(fh, start=2):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            if line.startswith("#provenance"):
-                provenance = line[len("#provenance"):].strip() or provenance
+            provenance = _provenance(line, provenance)
             continue
         try:
             x = int(line)
@@ -287,38 +272,62 @@ def _parse_lines(lines, lineno, prev, provenance):
     return _int_array(elements), provenance
 
 
+def _load_body(path: str, skip: int) -> Optional[np.ndarray]:
+    """The elements after the first skip lines, parsed by numpy, or None.
+
+    Only a body of one int64 per line, increasing strictly, is taken;
+    None sends the file to the line loop.  With comments=None a "#"
+    anywhere in the body fails the parse.  Any warning counts as a
+    failure too: numpy < 2 parses "5.0" via float with a
+    DeprecationWarning instead of raising.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            xs = np.loadtxt(
+                path, dtype=np.int64, comments=None, skiprows=skip, ndmin=2,
+                encoding="utf-8-sig",
+            )
+        except (ValueError, Warning):
+            return None
+    if xs.shape[1] != 1:
+        return None
+    xs = xs[:, 0]
+    return xs if np.all(xs[1:] > xs[:-1]) else None
+
+
 def read_zset(path: str) -> IntegerSet:
     """Read a .zset file.
 
     Format: first line "#zset v1", then optional "#provenance ..." and
     comment lines starting with "#", then one decimal integer per line
-    in strictly increasing order.  A UTF-8 byte order mark, CRLF line
-    endings, a leading "+" and blank or whitespace-only lines are
+    in strictly increasing order.  A UTF-8 byte order mark, CRLF or CR
+    line endings, a leading "+" and blank or whitespace-only lines are
     accepted.  Violations raise ZsetFormatError with the offending line
     number.
 
-    The body is read in chunks of lines, doubling from one line up to
-    _BLOCK_LINES, so the comments at the top cost little.  A chunk of
-    plain increasing integers is parsed whole into an array; any other
-    chunk goes through the line loop, which accepts comments and blank
-    lines and raises every format error.
+    The header and the comment and blank lines above the first element
+    are read here; np.loadtxt parses the rest in C.  A body it refuses
+    (a comment, a bad token, two tokens on a line, a value beyond int64,
+    elements out of order) is read again by the line loop, which raises
+    every format error and builds the big-integer arrays.
     """
-    parts: list[np.ndarray] = []
     provenance = "unspecified"
-    prev: Optional[int] = None
     with open(path, "r", encoding="utf-8-sig") as fh:
-        first = fh.readline()
-        if first.strip() != "#zset v1":
+        if fh.readline().strip() != "#zset v1":
             raise ZsetFormatError("missing '#zset v1' header", 1)
-        lineno, size = 2, 1
-        while lines := list(islice(fh, size)):
-            xs = _parse_chunk(lines, prev)
-            if xs is None:
-                xs, provenance = _parse_lines(lines, lineno, prev, provenance)
-            if len(xs):
-                parts.append(xs)
-                prev = int(xs[-1])
-            lineno += len(lines)
-            size = min(2 * size, _BLOCK_LINES)
-    xs = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        skip = 1
+        for raw in fh:
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                break
+            provenance = _provenance(line, provenance)
+            skip += 1
+        else:  # no element line, so loadtxt would warn of no data
+            return IntegerSet.from_sorted_array(np.empty(0, dtype=np.int64), provenance)
+    xs = _load_body(path, skip)
+    if xs is None:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            fh.readline()
+            xs, provenance = _parse_lines(fh)
     return IntegerSet.from_sorted_array(xs, provenance)

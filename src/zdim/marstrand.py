@@ -175,10 +175,6 @@ class CollisionReport:
     counts: tuple[int, ...]
 
     @property
-    def pair_count(self) -> int:
-        return self.energy
-
-    @property
     def histogram(self) -> dict[int, int]:
         return dict(zip(self.values, self.counts))
 

@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, strategies as st
 
-from zdim.exact import ceil_pow, cmp_ratio, floor_pow, iroot, pow_bracket, ratio_value
+from zdim.exact import ceil_pow, cmp_ratio, iroot, pow_bracket, ratio_value
 
 
 def test_iroot_exact_cubes():
@@ -23,12 +23,9 @@ def test_iroot_is_floor_root(x, k):
 
 
 def test_floor_ceil_pow():
-    # x**(2/3) floors and ceilings
-    assert floor_pow(8, 2, 3) == 4
+    # x**(2/3) ceilings
     assert ceil_pow(8, 2, 3) == 4  # exact power stays exact
-    assert floor_pow(9, 2, 3) == 4  # 9**(2/3) = 4.326...
-    assert ceil_pow(9, 2, 3) == 5
-    assert floor_pow(1000, 1, 2) == 31
+    assert ceil_pow(9, 2, 3) == 5  # 9**(2/3) = 4.326...
     assert ceil_pow(1000, 1, 2) == 32
 
 

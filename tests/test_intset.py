@@ -25,11 +25,6 @@ def test_interval_rejects_empty():
         Interval(5, 4)
 
 
-def test_interval_intersect():
-    assert Interval(0, 10).intersect(Interval(5, 20)) == Interval(5, 10)
-    assert Interval(0, 5).intersect(Interval(5, 9)) is None
-
-
 def test_set_dedups_and_sorts():
     E = IntegerSet([3, 1, 2, 3, 1], "t")
     assert E.elements == (1, 2, 3)
@@ -257,7 +252,7 @@ def test_sweep_and_reader_build_no_tuple(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the chunked reader
+# the reader against the line loop
 
 
 def _loop_reader(path):
@@ -300,37 +295,65 @@ def _outcome(read, path):
 _STEPS = st.one_of(
     st.integers(1, 9), st.sampled_from([2**62, 2**63, 10**30]), st.sampled_from([0, -4])
 )
+# how an element is written: plainly (twice as often), with digit groups,
+# followed by a comment, or as a float (numpy < 2's loadtxt reads "5.0" as 5)
+_FORMATS = st.sampled_from(["{}", "{}", "{:_}", "{} # c", "{}.0"])
 _ODD_LINES = st.sampled_from(
-    ["", "   ", "\t", "# note", "#provenance mid-body", "x7", "1.5", "-", "12 3"]
+    ["", "   ", "\t", "# note", "#provenance mid-body", "x7", "1.5", "-", "12 3", "1_000"]
 )
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    st.lists(st.one_of(_STEPS, _ODD_LINES), max_size=40),
-    st.sampled_from([1, 2, 3, 5, 1 << 16]),
-)
-def test_chunked_reader_matches_line_loop(tmp_path_factory, body, chunk):
+@given(st.lists(st.one_of(st.tuples(_STEPS, _FORMATS), _ODD_LINES), max_size=40))
+def test_chunked_reader_matches_line_loop(tmp_path_factory, body):
     # integers as steps from the previous one (0 and -4 break the order),
     # mixed with comments, blank lines and bad tokens
     lines, x = ["#zset v1", "#provenance top"], -20
     for item in body:
-        if isinstance(item, int):
-            x += item
-            item = str(x)
+        if isinstance(item, tuple):
+            x += item[0]
+            item = item[1].format(x)
         lines.append(item)
     p = tmp_path_factory.mktemp("z") / "a.zset"
     p.write_text("".join(f"{line}\n" for line in lines))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(intset, "_BLOCK_LINES", chunk)
-        assert _outcome(read_zset, str(p)) == _outcome(_loop_reader, str(p))
+    assert _outcome(read_zset, str(p)) == _outcome(_loop_reader, str(p))
 
 
-@pytest.mark.parametrize("chunk", [3, 1 << 16])
-def test_reader_past_its_first_chunk(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(intset, "_BLOCK_LINES", chunk)
-    n = 3 * chunk + 10  # body lines; every case below sits past line 2 * chunk
-    at = 2 * chunk + 5
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("#zset v1\r#provenance cr\r1\r\r 5 \r+9\r", ((1, 5, 9), "cr")),
+        ("#zset v1\r1\rx\r", ("error", "line 3: not an integer: 'x'", 3)),
+        (
+            "\ufeff#zset v1\n# c\n\n#provenance p\n  \n#provenance q\n3\n4\n",
+            ((3, 4), "q"),
+        ),
+        ("#zset v1\n", ((), "unspecified")),
+        ("#zset v1", ((), "unspecified")),
+        ("#zset v1\n#provenance e\n", ((), "e")),
+        ("#zset v1\n\n  \n\t\n", ((), "unspecified")),
+        ("#zset v1\n1 2\n", ("error", "line 2: not an integer: '1 2'", 2)),
+    ],
+    ids=["cr", "cr-error", "bom-top-block", "empty", "no-newline", "provenance-only",
+         "blank-only", "two-tokens"],
+)
+def test_reader_file_cases_match_line_loop(tmp_path, text, want):
+    p = tmp_path / "a.zset"
+    p.write_bytes(text.encode("utf-8"))
+    assert _outcome(_loop_reader, str(p)) == want
+    assert _outcome(read_zset, str(p)) == want
+
+
+def _refuse_line_loop(fh):
+    raise AssertionError("the line loop read a plain body")
+
+
+def test_reader_past_its_first_chunk(tmp_path, monkeypatch):
+    # a body longer than loadtxt's internal chunk of 50,000 lines
+    # (numpy.lib._npyio_impl._loadtxt_chunksize); every case below sits
+    # past its first chunk
+    n, at = 60_010, 50_005
     base = [str(3 * i) for i in range(n)]
 
     def read_with(i, text):
@@ -339,6 +362,10 @@ def test_reader_past_its_first_chunk(tmp_path, monkeypatch, chunk):
         path.write_text("".join(f"{line}\n" for line in lines))
         return read_zset(str(path))
 
+    with monkeypatch.context() as mp:  # a plain body never takes the line loop
+        mp.setattr(intset, "_parse_lines", _refuse_line_loop)
+        E = read_with(n, [])
+        assert E.elements == tuple(range(0, 3 * n, 3)) and E._array().dtype == np.int64
     with pytest.raises(ZsetFormatError) as ei:
         read_with(at, ["x7"])
     assert str(ei.value) == f"line {at + 3}: not an integer: 'x7'"
