@@ -349,11 +349,13 @@ def _refuse_line_loop(fh):
     raise AssertionError("the line loop read a plain body")
 
 
-def test_reader_past_its_first_chunk(tmp_path, monkeypatch):
-    # a body longer than loadtxt's internal chunk of 50,000 lines
-    # (numpy.lib._npyio_impl._loadtxt_chunksize); every case below sits
-    # past its first chunk
-    n, at = 60_010, 50_005
+@pytest.mark.parametrize("chunk", [3, 1 << 16])
+def test_reader_past_its_first_chunk(tmp_path, monkeypatch, chunk):
+    # chunk scales the body: every case below sits past line 2 * chunk of
+    # a 3 * chunk + 10 line body, so the large size puts it deep in a body
+    # of about 200,000 lines, far past any buffer numpy's parser reads in
+    n = 3 * chunk + 10
+    at = 2 * chunk + 5
     base = [str(3 * i) for i in range(n)]
 
     def read_with(i, text):
