@@ -3,10 +3,11 @@
 Subcommands construct sets, measure them, form sums, run the thinning
 and regularity diagnostics, and drive collision experiments.  All
 exact quantities are emitted as "p/q" strings; reports are
-deterministic given identical inputs and seeds.  ``main`` times each
-run, and --manifest records its config (every option of the subcommand
-except --json, --force and --manifest) with the config hash, the digests
-of the files the run actually read and wrote, and the wall time.
+deterministic given identical inputs and seeds.  ``main`` builds the
+arguments of the subcommand it runs alone, times each run, and
+--manifest records its config (every option of the subcommand except
+--json, --force and --manifest) with the config hash, the digests of
+the files the run actually read and wrote, and the wall time.
 
 Exit codes: 0 success (and assertions met), 1 assertion failed,
 2 usage error, 3 data error.
@@ -517,15 +518,7 @@ def cmd_sweep(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="zdim",
-        description="Integer-set dimension and arithmetic-sum experiments.",
-    )
-    top.add_argument("--version", action="version", version=f"zdim {__version__}")
-    subs = top.add_subparsers(dest="command", required=True)
-
-    pc = subs.add_parser("construct", help="generate a set and write a .zset file")
+def _construct_args(pc) -> None:
     pc.add_argument(
         "--kind",
         required=True,
@@ -552,7 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--out2", help="second output for kind noncompatible")
     pc.set_defaults(func=cmd_construct)
 
-    pm = subs.add_parser("measure", help="dimension / alpha-measure / density")
+
+def _measure_args(pm) -> None:
     pm.add_argument("set")
     mode = pm.add_mutually_exclusive_group(required=True)
     mode.add_argument("--dim", action="store_true")
@@ -563,26 +557,30 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--json", help="write the report here instead of stdout")
     pm.set_defaults(func=cmd_measure)
 
-    ps = subs.add_parser("sum", help="E + floor(lambda*F)")
+
+def _sum_args(ps) -> None:
     ps.add_argument("a")
     ps.add_argument("b")
     ps.add_argument("--lambda", dest="lam", type=parse_frac, default=Fraction(1))
     ps.add_argument("--out", required=True)
     ps.set_defaults(func=cmd_sum)
 
-    px = subs.add_parser("scale", help="floor(lambda*E)")
+
+def _scale_args(px) -> None:
     px.add_argument("a")
     px.add_argument("--lambda", dest="lam", type=parse_frac, required=True)
     px.add_argument("--out", required=True)
     px.set_defaults(func=cmd_scale)
 
-    pt = subs.add_parser("star", help="index-selected product set")
+
+def _star_args(pt) -> None:
     pt.add_argument("a")
     pt.add_argument("b")
     pt.add_argument("--out", required=True)
     pt.set_defaults(func=cmd_star)
 
-    pth = subs.add_parser("thin", help="dyadic thinning trace")
+
+def _thin_args(pth) -> None:
     pth.add_argument("set")
     pth.add_argument("--alpha", type=parse_frac, required=True)
     pth.add_argument("--lo", type=int)
@@ -591,7 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
     pth.add_argument("--json")
     pth.set_defaults(func=cmd_thin)
 
-    pd = subs.add_parser("diagnose", help="regularity / compatibility ladder")
+
+def _diagnose_args(pd) -> None:
     pd.add_argument("a")
     pd.add_argument("b", nargs="?")
     pd.add_argument("--ratio-band", type=parse_frac, default=Fraction(4))
@@ -599,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--json")
     pd.set_defaults(func=cmd_diagnose)
 
-    pco = subs.add_parser("collide", help="collision histogram at one lambda")
+
+def _collide_args(pco) -> None:
     pco.add_argument("a")
     pco.add_argument("b")
     pco.add_argument("--lambda", dest="lam", type=parse_frac, required=True)
@@ -609,7 +609,8 @@ def build_parser() -> argparse.ArgumentParser:
     pco.add_argument("--json")
     pco.set_defaults(func=cmd_collide)
 
-    pw = subs.add_parser("sweep", help="dimension of E + floor(lambda*F) across lambdas")
+
+def _sweep_args(pw) -> None:
     pw.add_argument("a")
     pw.add_argument("b")
     pw.add_argument("--lambda-min", type=parse_frac, required=True)
@@ -630,16 +631,48 @@ def build_parser() -> argparse.ArgumentParser:
     pw.add_argument("--json")
     pw.set_defaults(func=cmd_sweep)
 
-    for sub in (pc, pm, ps, px, pt, pth, pd, pco, pw):
-        sub.add_argument("--force", action="store_true", help="overwrite outputs")
-        sub.add_argument("--manifest", help="write a run manifest JSON here")
-        sub.set_defaults(_parser=sub)
+
+# name: (help line, function that adds the subcommand's arguments)
+_SUBCOMMANDS = {
+    "construct": ("generate a set and write a .zset file", _construct_args),
+    "measure": ("dimension / alpha-measure / density", _measure_args),
+    "sum": ("E + floor(lambda*F)", _sum_args),
+    "scale": ("floor(lambda*E)", _scale_args),
+    "star": ("index-selected product set", _star_args),
+    "thin": ("dyadic thinning trace", _thin_args),
+    "diagnose": ("regularity / compatibility ladder", _diagnose_args),
+    "collide": ("collision histogram at one lambda", _collide_args),
+    "sweep": ("dimension of E + floor(lambda*F) across lambdas", _sweep_args),
+}
+
+
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The zdim parser, with every subcommand's arguments.
+
+    Given ``only``, the subcommand of that name alone gets its arguments
+    ("" or an unknown name: none does).  Every subparser exists with its
+    help line either way, so the top-level help and usage are the same.
+    """
+    top = argparse.ArgumentParser(
+        prog="zdim",
+        description="Integer-set dimension and arithmetic-sum experiments.",
+    )
+    top.add_argument("--version", action="version", version=f"zdim {__version__}")
+    subs = top.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args) in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=help_line)
+        if only is None or only == name:
+            add_args(sub)
+            sub.add_argument("--force", action="store_true", help="overwrite outputs")
+            sub.add_argument("--manifest", help="write a run manifest JSON here")
+            sub.set_defaults(_parser=sub)
     return top
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first token names the subcommand; only its arguments are built
+    args = build_parser(argv[0] if argv else "").parse_args(argv)
     t0 = time.monotonic()
     args._inputs, args._outputs = [], []
     try:

@@ -232,41 +232,72 @@ class LadderRung:
     ok: bool
 
 
-def _best_window_at_scale(
-    E: IntegerSet, scale: int, alpha_f: float
-) -> Optional[tuple[int, int, int, int]]:
-    """Best (count, length, lo, hi) with length in [scale, 2*scale).
+# a ladder over more than _STRIDE_ABOVE elements scans every
+# (n // _STRIDE_TARGET)-th element only; its rung counts are then counts
+# of the strided array, not of the set
+_STRIDE_ABOVE = 400_000
+_STRIDE_TARGET = 200_000
 
-    For each start it weighs the longest window shorter than 2*scale and
-    the shortest one of length at least scale.
+
+def _ladder_scales(top: int) -> list[int]:
+    """The rungs 4, 8, 16, ... up to top, or [top] when 4 > top."""
+    if top < 1:
+        raise ValueError(f"the top ladder scale must be >= 1, got {top}")
+    scales = []
+    s = 4
+    while s <= top:
+        scales.append(s)
+        s *= 2
+    return scales or [top]
+
+
+def _ladder(
+    E: IntegerSet, top: int, alpha_f: float
+) -> list[tuple[int, Optional[tuple[int, int, int, int]]]]:
+    """Each rung's scale with its best (count, length, lo, hi), length in
+    [scale, 2*scale), or None when no window of that length exists.
+
+    For each start it weighs the longest window ending at most at
+    start + 2*scale - 1 and the shortest one of length at least scale,
+    keeping windows of length below 2*scale.  The rung 2*scale looks for
+    its shortest windows at the target where rung scale's longest end,
+    so one binary search per rung serves both: they differ only when an
+    element sits exactly at the target.
     """
+    scales = _ladder_scales(top)
     xs = E._array()
     n = len(xs)
     if n == 0:
-        return None
-    if n > 400_000:
-        xs = xs[:: n // 200_000]
+        return [(s, None) for s in scales]
+    if n > _STRIDE_ABOVE:
+        # contiguous, so that searchsorted does not copy it on every call
+        xs = np.ascontiguousarray(xs[:: n // _STRIDE_TARGET])
         n = len(xs)
-    hi_idx = np.searchsorted(xs, xs + (2 * scale - 1), side="right") - 1
-    lo_idx = np.searchsorted(xs, xs + (scale - 1), side="left")
-    best: Optional[tuple[float, int, int, int, int]] = None
-    for j_idx in (hi_idx, lo_idx):
-        valid = j_idx < n
-        j = np.where(valid, j_idx, n - 1)
-        counts = (j - np.arange(n) + 1).astype(np.float64)
-        lengths = xs[j] - xs + 1
-        ok = valid & (lengths >= scale) & (lengths < 2 * scale)
-        if not ok.any():
-            continue
-        r = np.where(ok, counts * _as_float(lengths) ** (-alpha_f), -1.0)
-        i = int(r.argmax())
-        lo, hi = int(xs[i]), int(xs[j[i]])
-        cand = (float(r[i]), int(counts[i]), hi - lo + 1, lo, hi)
-        if best is None or cand[0] > best[0]:
-            best = cand
-    if best is None:
-        return None
-    return best[1:]
+    starts = np.arange(n)
+    lo_idx = np.searchsorted(xs, xs + (scales[0] - 1), side="left")
+    rungs: list[tuple[int, Optional[tuple[int, int, int, int]]]] = []
+    for scale in scales:
+        target = xs + (2 * scale - 1)
+        hi_idx = np.searchsorted(xs, target, side="right") - 1
+        best: Optional[tuple[float, int, int, int, int]] = None
+        for j_idx in (hi_idx, lo_idx):
+            valid = j_idx < n
+            j = np.where(valid, j_idx, n - 1)
+            counts = (j - starts + 1).astype(np.float64)
+            lengths = xs[j] - xs + 1
+            ok = valid & (lengths >= scale) & (lengths < 2 * scale)
+            if not ok.any():
+                continue
+            r = np.where(ok, counts * _as_float(lengths) ** (-alpha_f), -1.0)
+            i = int(r.argmax())
+            lo, hi = int(xs[i]), int(xs[j[i]])
+            cand = (float(r[i]), int(counts[i]), hi - lo + 1, lo, hi)
+            if best is None or cand[0] > best[0]:
+                best = cand
+        rungs.append((scale, None if best is None else best[1:]))
+        # hi_idx >= start, so the gather stays in range
+        lo_idx = hi_idx + (xs[hi_idx] != target)
+    return rungs
 
 
 def _length_pow(length: int, alpha: float) -> float:
@@ -284,17 +315,6 @@ def _length_pow(length: int, alpha: float) -> float:
 def _rung_ratio(count: int, length: int, alpha: float) -> float:
     """count * length**-alpha of a ladder rung."""
     return count * _length_pow(length, -alpha)
-
-
-def _ladder_scales(E: IntegerSet, max_scale: Optional[int]) -> list[int]:
-    hull = E.hull().length
-    top = max_scale if max_scale is not None else hull
-    scales = []
-    s = 4
-    while s <= top:
-        scales.append(s)
-        s *= 2
-    return scales or [hull]
 
 
 @dataclass(frozen=True)
@@ -324,8 +344,7 @@ def regularity_diagnostic(
     rungs: list[LadderRung] = []
     best: Optional[tuple[int, int, int, int]] = None
     best_r = -1.0
-    for scale in _ladder_scales(E, None):
-        got = _best_window_at_scale(E, scale, af)
+    for scale, got in _ladder(E, E.hull().length, af):
         if got is None:
             rungs.append(LadderRung(scale, None, 0, 0.0, False))
             continue
@@ -405,14 +424,9 @@ def compatibility_check(
         raise ValueError("ratio_band must be >= 1 and c_min positive")
     da = float(dimension_estimate(E).alpha_hat)
     db = float(dimension_estimate(F).alpha_hat)
-    top = min(E.hull().length, F.hull().length)
-    if max_scale is not None:
-        top = max_scale
+    top = min(E.hull().length, F.hull().length) if max_scale is None else max_scale
     rungs: list[CompatRung] = []
-    scale = 4
-    while scale <= top:
-        ga = _best_window_at_scale(E, scale, da)
-        gb = _best_window_at_scale(F, scale, db)
+    for (scale, ga), (_, gb) in zip(_ladder(E, top, da), _ladder(F, top, db)):
         ok = False
         wa = wb = None
         ca = cb = 0
@@ -430,7 +444,6 @@ def compatibility_check(
                 and cb >= float(c) * _length_pow(lb, db) - 1e-9
             )
         rungs.append(CompatRung(scale, wa, ca, wb, cb, ok))
-        scale *= 2
     return CompatibilityReport(tuple(rungs), da, db, band, c)
 
 
@@ -456,8 +469,8 @@ def universality_check(
     c = Fraction(c_min)
     da = float(dimension_estimate(E).alpha_hat)
     rungs: list[LadderRung] = []
-    for scale in _ladder_scales(E, max_scale):
-        got = _best_window_at_scale(E, scale, da)
+    top = E.hull().length if max_scale is None else max_scale
+    for scale, got in _ladder(E, top, da):
         if got is None:
             rungs.append(LadderRung(scale, None, 0, 0.0, False))
             continue

@@ -6,7 +6,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from zdim.cli import ExperimentConfig, build_parser, main
+from zdim.cli import _SUBCOMMANDS, ExperimentConfig, build_parser, main
 from zdim.intset import read_zset
 
 
@@ -280,8 +280,9 @@ def test_manifest_records_digests(tmp_path, capsys):
     assert m["wall_time_s"] >= 0
 
 
-def _subparsers() -> dict:
-    return next(a for a in build_parser()._actions if a.dest == "command").choices
+def _subparsers(parser=None) -> dict:
+    parser = build_parser() if parser is None else parser
+    return next(a for a in parser._actions if a.dest == "command").choices
 
 
 def test_manifest_config_and_files_for_every_subcommand(tmp_path, capsys, monkeypatch):
@@ -341,3 +342,40 @@ def test_version_and_usage(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["construct", "--kind", "bogus-kind", "--out", "x.zset"])
     assert exc.value.code == 2
+
+
+def _parse_output(capsys, parse, argv):
+    """(exit code, stdout, stderr) of one parse that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_lazy_parser_output_matches_full_build(capsys, monkeypatch):
+    # main builds only the subcommand named by the first token; its help
+    # and usage errors must read as if every subcommand were built
+    full = build_parser().parse_args
+    cases = [["--help"], ["-h"], [], ["bogus"], ["--version"], ["--bogus"]]
+    for command in _subparsers():
+        cases += [[command, "--help"], [command, "--no-such-option"]]
+    for argv in cases:
+        want = _parse_output(capsys, full, argv)
+        assert want[0] in (0, 2), argv
+        assert _parse_output(capsys, main, argv) == want, argv
+    # main() with no argument reads sys.argv[1:], as the console script calls it
+    monkeypatch.setattr("sys.argv", ["zdim", "measure", "--help"])
+    assert _parse_output(capsys, lambda _: main(), None) == _parse_output(
+        capsys, full, ["measure", "--help"]
+    )
+
+
+def test_lazy_parser_builds_one_subcommand():
+    def built(parser):
+        # a subparser that got its arguments has more than its -h
+        return {name for name, sub in _subparsers(parser).items() if len(sub._actions) > 1}
+
+    assert built(build_parser()) == set(_SUBCOMMANDS)
+    assert built(build_parser("diagnose")) == {"diagnose"}
+    for token in ("", "bogus", "-h", "--version"):
+        assert built(build_parser(token)) == set()

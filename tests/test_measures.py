@@ -26,7 +26,7 @@ from zdim.measures import (
     dimension_estimate,
     monotonicity_check,
 )
-from zdim.regularity import _best_window_at_scale, sup_ratio
+from zdim.regularity import _ladder, sup_ratio
 
 
 def brute_dimension(E, min_length=2):
@@ -191,17 +191,16 @@ def test_bigint_path_agrees_with_numpy(xs, min_length, alpha):
         assert (brute == 0.0) if m is None else abs(float(m) - brute) <= 1e-9 * brute
     agree(lambda E: sup_ratio(E, E.hull(), alpha, min_length=min_length), lambda r: r.value)
 
-    scale = 1
-    while scale <= 2 * small.hull().length:
-        a = _best_window_at_scale(small, scale, float(alpha))
-        b = _best_window_at_scale(big, scale, float(alpha))
+    top = 2 * small.hull().length
+    ladders = zip(_ladder(small, top, float(alpha)), _ladder(big, top, float(alpha)))
+    for (scale, a), (scale_big, b) in ladders:
+        assert scale_big == scale
         if a is None:
             assert b is None
         else:
             count, length, lo, hi = a
             assert scale <= length < 2 * scale
             assert b == (count, length, lo + _SHIFT, hi + _SHIFT)
-        scale *= 2
 
 
 def test_lengths_beyond_float_range():

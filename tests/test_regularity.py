@@ -1,14 +1,18 @@
 """Sup-ratio scans, dyadic thinning, regular-subset extraction, and the
 ladder diagnostics (regularity, compatibility, universality)."""
 
+import bisect
 import math
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from zdim import regularity
 from zdim.generators import NoncompatibleParams, noncompatible_pair, power_set
 from zdim.intset import IntegerSet, Interval
 from zdim.regularity import (
+    _ladder,
     compatibility_check,
     dyadic_thin,
     extract_regular_subset,
@@ -186,3 +190,103 @@ def test_compatibility_validates_band():
     E = IntegerSet([1, 2, 3], "e")
     with pytest.raises(ValueError):
         compatibility_check(E, E, ratio_band=Fr(1, 2))
+
+
+def test_compatibility_below_the_first_doubling():
+    # the smaller hull is 3 long, below the first doubling (4): the ladder
+    # still has one rung, at the hull, so the report rests on evidence
+    E, F = IntegerSet([0, 1, 3], "e"), IntegerSet([0, 2], "f")
+    rep = compatibility_check(E, F)
+    assert [r.scale for r in rep.rungs] == [3]
+    (r,) = rep.rungs
+    assert (r.window_a, r.count_a) == (Interval(-1, 3), 3)
+    assert (r.window_b, r.count_b) == (Interval(-1, 2), 2)
+    assert bool(rep) == r.ok
+
+
+def test_ladders_stay_within_max_scale():
+    E = IntegerSet(range(100), "block")
+    rep = universality_check(E, max_scale=2)
+    assert [r.scale for r in rep.rungs] == [2]
+    assert rep.rungs[0].witness.length in (2, 3)
+    assert [r.scale for r in compatibility_check(E, E, max_scale=3).rungs] == [3]
+    for bad in (0, -4):
+        with pytest.raises(ValueError, match="top ladder scale"):
+            universality_check(E, max_scale=bad)
+
+
+def oracle_rung(xs, scale, alpha):
+    """Every window a rung weighs, each with its ratio, by bisect on a list.
+
+    Per start: the window out to the last element within start + 2*scale - 1,
+    kept when shorter than 2*scale (an element exactly there makes it
+    2*scale long, and it is dropped), and the shortest window of length at
+    least scale, kept when shorter than 2*scale.
+    """
+    found = {}
+    for i, x in enumerate(xs):
+        for j in (
+            bisect.bisect_right(xs, x + 2 * scale - 1) - 1,
+            bisect.bisect_left(xs, x + scale - 1),
+        ):
+            if j < len(xs) and scale <= xs[j] - x + 1 < 2 * scale:
+                length = xs[j] - x + 1
+                found[x, xs[j]] = (j - i + 1, length, (j - i + 1) * float(length) ** -alpha)
+    return found
+
+
+_MEMBERS = st.lists(st.integers(-3000, 3000), min_size=1, max_size=60, unique=True)
+
+
+@st.composite
+def _exact_hits(draw):
+    """Progressions whose step divides 2*scale - 1 for some rung scale."""
+    scale = 2 ** draw(st.integers(2, 7))
+    odd = 2 * scale - 1
+    step = draw(st.sampled_from([d for d in range(1, odd + 1) if odd % d == 0]))
+    start = draw(st.integers(-500, 500))
+    return [start + step * k for k in range(draw(st.integers(1, 40)))]
+
+
+# runs of consecutive integers: a run's own window often wins a rung as
+# the shortest one, while the window out to start + 2*scale - 1 reaches
+# into the next run or stops at an element exactly there
+_RUNS = st.lists(
+    st.tuples(st.integers(-300, 300), st.integers(1, 40)), min_size=1, max_size=4
+).map(lambda runs: sorted({a + k for a, n in runs for k in range(n)}))
+
+
+@given(
+    st.one_of(
+        _MEMBERS, _RUNS, _exact_hits(), st.builds(lambda x: [x], st.integers(-9, 9))
+    ),
+    st.sampled_from([0.0, 1 / 3, 0.5, 0.96, 1.0]),
+    st.sampled_from([0, 1 << 70]),
+    st.booleans(),
+    st.sampled_from([None, 1, 2, 3]),
+)
+# rung 8's best, (-1, 7], is a shortest window that ends at an exact hit of rung 4
+@example([*range(8), 14], 1.0, 0, False, None)
+def test_ladder_matches_bisect_oracle(xs, alpha, shift, stride, top):
+    E = IntegerSet(xs, "e").shift(shift)
+    assert (E._array().dtype == object) == bool(shift)
+    top = E.hull().length if top is None else top
+    with pytest.MonkeyPatch.context() as mp:
+        if stride:  # stride sets of more than 8 elements to about 4
+            mp.setattr(regularity, "_STRIDE_ABOVE", 8)
+            mp.setattr(regularity, "_STRIDE_TARGET", 4)
+        rungs = _ladder(E, top, alpha)
+    members = list(E.elements)
+    if stride and len(members) > 8:
+        members = members[:: len(members) // 4]
+    scales = [s for s, _ in rungs]
+    assert scales == ([4 * 2**k for k in range(top.bit_length() - 2)] or [top])
+    for scale, got in rungs:
+        found = oracle_rung(members, scale, alpha)
+        if not found:
+            assert got is None, scale
+            continue
+        count, length, lo, hi = got
+        assert found[lo, hi][:2] == (count, length)
+        best = max(r for _, _, r in found.values())
+        assert math.isclose(found[lo, hi][2], best, rel_tol=1e-12), scale
