@@ -14,10 +14,10 @@ span and the pair count alone, and both routes keep their working
 memory within one byte budget, ``_BYTE_BUDGET``:
 
 - dense accumulation, when the value span is at most the number of
-  pairs and its counters fit the budget: for each element of the shorter
-  of E and the distinct floors of lam*F, the longer one is added by fancy
-  index into the counters (both are duplicate-free, so no index repeats
-  within one add);
+  pairs and its counters fit the budget: for each element ``shift`` of
+  the shorter of E and the distinct floors of lam*F, the longer one is
+  added by an unbuffered ``np.add.at`` into the counters from ``shift``
+  on;
 - sorted outer sum: outer sums sorted and counted run by run, in chunks
   of the budget that a stable sort merges when the grid is larger.
 
@@ -123,16 +123,18 @@ def grid_in_int64(E: IntegerSet, F: IntegerSet, lam) -> bool:
 def _dense_histogram(xe, uf, mult, span, cdtype):
     # operands start at 0, so every sum indexes the span
     acc = np.zeros(span, dtype=cdtype)
+    one = cdtype.type(1)
     if len(xe) <= len(uf):
         base, shifts = uf, xe.tolist()
-        weights = repeat(1 if mult is None else mult)
+        weights = repeat(one if mult is None else mult)
     else:
         base, shifts = xe, uf.tolist()
-        weights = repeat(1) if mult is None else mult.tolist()
-    idx = np.empty_like(base)
+        weights = repeat(one) if mult is None else mult
     for shift, w in zip(shifts, weights):
-        np.add(base, shift, out=idx)
-        acc[idx] += w
+        # w must have the counters' dtype (iterating mult yields such
+        # scalars): a Python int or a wider array takes numpy's generic
+        # loop, 20-30x slower
+        np.add.at(acc[shift:], base, w)
     nz = np.flatnonzero(acc)
     return nz, acc[nz]
 

@@ -2,6 +2,7 @@
 
 from contextlib import contextmanager
 from fractions import Fraction as Fr
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -112,6 +113,47 @@ def test_sumset_routes_agree():
                 assert sum_scaled(E, F, lam).elements == tuple(oracle)
             assert taken == route * 2
             assert dict(zip(values.tolist(), counts.tolist())) == oracle
+
+
+class _AddAtSpy:
+    """np.add that records the dtype of every weight passed to np.add.at."""
+
+    def __init__(self):
+        self.weight_dtypes = set()
+
+    def __getattr__(self, name):
+        return getattr(np.add, name)
+
+    def at(self, a, indices, b):
+        self.weight_dtypes.add(np.asarray(b).dtype)
+        np.add.at(a, indices, b)
+
+
+_F_65535 = IntegerSet(range(65535), "f65535")  # every floor 0 at lam = 1/65536
+
+
+@pytest.mark.parametrize("E, F, lam, closed_form", [
+    # uint8 counters: value 254 collects all 255 pairs
+    (IntegerSet(range(255), "r255"), IntegerSet(range(255), "r255"), 1, None),
+    # uint16, the floors as the base, array weights
+    (IntegerSet([0], "zero"), _F_65535, Fr(1, 65536), {0: 65535}),
+    # uint16, E as the base, scalar weights
+    (IntegerSet([0, 1], "01"), _F_65535, Fr(1, 65536), {0: 65535, 1: 65535}),
+])
+def test_dense_counters_reach_their_dtype_max(monkeypatch, E, F, lam, closed_form):
+    spy = _AddAtSpy()
+    monkeypatch.setattr(arith, "np", SimpleNamespace(**{**vars(np), "add": spy}))
+    with _routes_taken() as taken:
+        values, counts = grid_histogram(E, F, lam)
+    assert taken == ["_dense_histogram"]
+    expected = closed_form or _dict_histogram(E, F, lam)
+    assert dict(zip(values.tolist(), counts.tolist())) == expected
+    assert int(counts.max()) == np.iinfo(counts.dtype).max
+    assert counts.dtype == np.min_scalar_type(len(F))
+    # a wider weight would take numpy's generic ufunc.at loop
+    assert spy.weight_dtypes == {counts.dtype}
+    total = len(E) * len(F)
+    assert grid_energy(counts, total) == sum(c * c for c in expected.values())
 
 
 _value = st.one_of(
