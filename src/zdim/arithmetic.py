@@ -26,14 +26,15 @@ int64 arrays, or object arrays of Python ints when they leave int64, and
 both routes run on either.  When the span is below _INT64_LIMIT, the
 routes work on the operands minus their first elements, which lie in
 [0, span), so big-integer grids of a narrow span run in int64 too, and
-the lowest value is added back at the end (in object dtype when an
-operand was).
+the lowest value is added back at the end, in place on the route's own
+value array (converted to object dtype first when an operand was).
 
 Two proven bounds keep the integer types exact.  Every count is at most
 |F|, because for a fixed b the value fixes a; counts are stored in the
 smallest unsigned dtype holding |F|.  The energy, the sum of the squared
 counts, is at most total * max(count); ``grid_energy`` sums it in int64
-only when that product is below 2**63, and in object dtype otherwise.
+chunks only when that product is below 2**63, and in object dtype
+otherwise.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .intset import _INT64_LIMIT, IntegerSet, _run_starts
 
 _BYTE_BUDGET = 150_000_000  # working memory of one array route, in bytes
 _SORT_PAIR_BYTES = 40  # array slots per pair: sums, run mask, order and gathered copies
+_ENERGY_CHUNK = 1 << 16  # counts squared per int64 copy in grid_energy
 
 
 class SizeGuardError(ValueError):
@@ -201,20 +203,28 @@ def grid_histogram(E: IntegerSet, F: IntegerSet, lam) -> tuple[np.ndarray, np.nd
         values, counts = _dense_histogram(xe, uf, mult, span, cdtype)
     else:
         values, counts = _sorted_histogram(xe, uf, mult, cdtype)
-    return values.astype(dtype, copy=False) + lo, counts
+    # values is the route's own array (no operand's): shift it in place
+    values = values.astype(dtype, copy=False)
+    values += lo
+    return values, counts
 
 
 def grid_energy(counts: np.ndarray, total: int) -> int:
     """Sum of squared counts of a histogram of total grid points.
 
     The energy is at most total * max(count), so int64 is exact when
-    that product is below 2**63; otherwise the sum runs on Python ints.
+    that product is below 2**63, and so is every partial sum; the counts
+    are then squared in int64 chunks of _ENERGY_CHUNK, not copied whole.
+    Otherwise the sum runs on Python ints.
     """
     if len(counts) == 0:
         return 0
     if total * int(counts.max()) < 1 << 63:
-        c = counts.astype(np.int64)
-        return int(np.dot(c, c))
+        energy = 0
+        for k in range(0, len(counts), _ENERGY_CHUNK):
+            c = counts[k : k + _ENERGY_CHUNK].astype(np.int64)
+            energy += int(np.dot(c, c))
+        return energy
     c = counts.astype(object)
     return int((c * c).sum())
 

@@ -18,10 +18,16 @@ lengths beyond float range score as infinitely long.  Windows d
 endpoints apart hold one count and every objective falls as the length
 grows, so one pass scores the shortest windows of each such diagonal
 for the best score, and a second collects near-ties in row-major order
-up to a cap.  Each near-tie is re-compared exactly (integer
-cross-powers for rational alpha with small denominator, high-precision
-decimal otherwise), so witnesses landing exactly on a boundary are
-resolved correctly and the reported witness is deterministic.
+up to a cap, as arrays of (count, length, start, end).  The ratio
+objective re-compares the near-ties exactly (integer cross-powers for
+rational alpha with small denominator, high-precision decimal
+otherwise), so witnesses landing exactly on a boundary are resolved
+correctly.  The dimension objective does not: it compares math.log
+ratios, taking each log once per distinct count and length, and treats
+ratios within 1e-12 as ties.  When all near-ties lie within 1e-12 of
+each other the witness is the shortest, then lowest, window; otherwise
+a fold in row-major order picks it.  Either way the reported witness is
+deterministic.
 
 Sets whose full pair count exceeds the schedule budget are scanned on
 an index stride.  First and last elements are always kept, so witnesses
@@ -162,7 +168,7 @@ def _window_scan(
     near: Callable[[float], float],
     min_count: int,
     min_length: int,
-) -> tuple[list[tuple[int, int, int, int]], int]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], int]:
     """Two-pass scan of the windows [xs[i], xs[j]] for i <= j in pos.
 
     pos is k * step for k < u, as from _scan_positions, maybe with the
@@ -173,8 +179,10 @@ def _window_scan(
     O(rows) memory, the shortest windows of each diagonal, those within
     float rounding of them and the column ending at an appended index.
     The second scans the diagonals reaching near(best) by row blocks for
-    the windows scoring at least near(best), as (count, length, x_i, x_j),
-    row-major, up to _MAX_CANDIDATES.  Returns them and the pair count.
+    the windows scoring at least near(best), row-major, up to
+    _MAX_CANDIDATES.  Returns them as the arrays (counts, lengths, x_i,
+    x_j), the first int64 and the others of xs's dtype, and the pair
+    count.
     """
     idx = np.asarray(pos, dtype=np.int64)
     vals = xs[idx]
@@ -205,27 +213,28 @@ def _window_scan(
     best_d = np.maximum(best_d, scored(np.arange(u) * step + 1, gmin + 1))
     col = scored(idx[-1] - idx + 1, vals[-1] - vals + 1) if u < rows else np.empty(0)
     best = float(max(best_d.max(initial=-1.0), col.max(initial=-1.0)))
-    if best < 0:
-        return [], pairs
-    thr = near(best)
-    qual = np.flatnonzero(best_d >= thr)
-    cands, a0 = [], 0
-    while a0 < rows and len(cands) < _MAX_CANDIDATES:
-        q = qual[: np.searchsorted(qual, u - a0)]
-        a = np.arange(a0, min(rows, a0 + max(1, _MAX_CANDIDATES // max(1, len(q)))))
-        b = a[:, None] + q
-        inside = b < u
-        b = np.where(inside, b, a[:, None])
-        hit = inside & (scored(idx[b] - idx[a, None] + 1, vals[b] - vals[a, None] + 1) >= thr)
-        if u < rows:
-            b = np.column_stack([b, np.full(len(a), rows - 1)])
-            hit = np.column_stack([hit, col[a] >= thr])
-        ai, bi = np.nonzero(hit)
-        i, j = a[ai], b[ai, bi]
-        xi, xj = vals[i].tolist(), vals[j].tolist()
-        cands += zip((idx[j] - idx[i] + 1).tolist(), [y - x + 1 for x, y in zip(xi, xj)], xi, xj)
-        a0 = a[-1] + 1
-    return cands[:_MAX_CANDIDATES], pairs
+    i = j = np.empty(0, dtype=np.int64)
+    if best >= 0:
+        thr = near(best)
+        qual = np.flatnonzero(best_d >= thr)
+        parts, found, a0 = [], 0, 0
+        while a0 < rows and found < _MAX_CANDIDATES:
+            q = qual[: np.searchsorted(qual, u - a0)]
+            a = np.arange(a0, min(rows, a0 + max(1, _MAX_CANDIDATES // max(1, len(q)))))
+            b = a[:, None] + q
+            inside = b < u
+            b = np.where(inside, b, a[:, None])
+            hit = inside & (scored(idx[b] - idx[a, None] + 1, vals[b] - vals[a, None] + 1) >= thr)
+            if u < rows:
+                b = np.column_stack([b, np.full(len(a), rows - 1)])
+                hit = np.column_stack([hit, col[a] >= thr])
+            ai, bi = np.nonzero(hit)
+            parts.append((a[ai], b[ai, bi]))
+            found += len(ai)
+            a0 = a[-1] + 1
+        i, j = (np.concatenate(p)[:_MAX_CANDIDATES] for p in zip(*parts))
+    xi, xj = vals[i], vals[j]
+    return (idx[j] - idx[i] + 1, xj - xi + 1, xi, xj), pairs
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +256,9 @@ def _cmp_ratio_any(c1: int, l1: int, c2: int, l2: int, alpha: Fraction) -> int:
         return 1 if diff > 0 else -1
 
 
-def _pick_best_ratio(
-    cands: list[tuple[int, int, int, int]], alpha: Fraction
-) -> tuple[int, int, int, int]:
-    """Exact max over candidates; ties broken by shorter length, then lower start."""
+def _pick_best_ratio(cands: tuple[np.ndarray, ...], alpha: Fraction) -> tuple[int, int, int, int]:
+    """Exact max over candidate arrays; ties broken by shorter length, then lower start."""
+    cands = list(zip(*(a.tolist() for a in cands)))
     best = cands[0]
     for cand in cands[1:]:
         s = _cmp_ratio_any(cand[0], cand[1], best[0], best[1], alpha)
@@ -286,7 +294,7 @@ def _ratio_scan(
         min_count,
         schedule.min_length,
     )
-    if not cands:
+    if not len(cands[0]):
         raise DegenerateSetError(
             f"no interval with count >= {min_count} and length >= {schedule.min_length}"
         )
@@ -341,6 +349,35 @@ def _log_ratio_fraction(count: int, length: int) -> Fraction:
     return Fraction(r).limit_denominator(10**12)
 
 
+def _logs(v: np.ndarray) -> np.ndarray:
+    """math.log of each element of an integer array, once per distinct value."""
+    u, inv = np.unique(v, return_inverse=True)
+    return np.array([math.log(x) for x in u.tolist()])[inv]
+
+
+def _pick_best_dimension(cands: tuple[np.ndarray, ...]) -> tuple[int, int, int, int]:
+    """Max of log(count)/log(length) over candidate arrays, ratios within
+    1e-12 tying; ties broken by shorter length, then lower start."""
+    counts, lens, starts, _ = cands
+    r = _logs(counts) / _logs(lens)  # float64 division, as math.log(c) / math.log(l)
+    lo, hi = r.min(), r.max()
+    if hi <= lo + 1e-12 and hi - lo <= 1e-12:
+        # every ratio is within 1e-12 of every best so far, so the fold
+        # below only ever ties and keeps the least (length, start)
+        k = np.flatnonzero(lens == lens.min())
+        k = k[starts[k].argmin()]
+    else:
+        # the tie within 1e-12 is not transitive, so the row-major order counts
+        rs, ls, ss = r.tolist(), lens.tolist(), starts.tolist()
+        k, best_r = 0, rs[0]
+        for m in range(1, len(rs)):
+            if rs[m] > best_r + 1e-12 or (
+                abs(rs[m] - best_r) <= 1e-12 and (ls[m], ss[m]) < (ls[k], ss[k])
+            ):
+                k, best_r = m, max(rs[m], best_r)
+    return tuple(int(a[k]) for a in cands)
+
+
 def dimension_estimate(
     E: IntegerSet, schedule: ScanSchedule = ScanSchedule()
 ) -> DimensionEstimate:
@@ -363,19 +400,11 @@ def dimension_estimate(
     )
     if xs.dtype == object:  # big-integer reports never counted the i == j pairs
         pairs -= len(pos)
-    if not cands:
+    if not len(cands[0]):
         raise DegenerateSetError(
             f"no interval with count >= 2 and length >= {schedule.min_length}"
         )
-    best = cands[0]
-    best_r = math.log(best[0]) / math.log(best[1])
-    for cand in cands[1:]:
-        r = math.log(cand[0]) / math.log(cand[1])
-        if r > best_r + 1e-12 or (
-            abs(r - best_r) <= 1e-12 and (cand[1], cand[2]) < (best[1], best[2])
-        ):
-            best, best_r = cand, max(r, best_r)
-    count, length, xi, xj = best
+    count, length, xi, xj = _pick_best_dimension(cands)
     return DimensionEstimate(
         _log_ratio_fraction(count, length),
         Interval(xi - 1, xj),

@@ -1,5 +1,6 @@
 """Arithmetic on integer sets: floor dilation, sumsets, star products."""
 
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction as Fr
 from types import SimpleNamespace
@@ -108,11 +109,16 @@ def test_sumset_routes_agree():
     for (E, F), budget, route in cases:
         for lam in (Fr(1), Fr(5, 2), Fr(1, 3)):  # 1/3: duplicate floors
             oracle = _dict_histogram(E, F, lam)
+            operands = (E._array(), F._array())
+            before = [a.copy() for a in operands]
             with _routes_taken(budget) as taken:
                 values, counts = grid_histogram(E, F, lam)
                 assert sum_scaled(E, F, lam).elements == tuple(oracle)
             assert taken == route * 2
             assert dict(zip(values.tolist(), counts.tolist())) == oracle
+            # the values are shifted in place: never in an operand's memory
+            for a, b in zip(operands, before):
+                assert np.array_equal(a, b) and not np.shares_memory(values, a)
 
 
 class _AddAtSpy:
@@ -190,6 +196,31 @@ def test_grid_energy_object_fallback():
     total = 2**40  # total * max(count) reaches 2**63: summed on Python ints
     assert grid_energy(counts, total) == (2**32 - 1) ** 2 + 9
     assert grid_energy(np.array([], dtype=np.uint8), 0) == 0
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+@pytest.mark.parametrize("chunks, extra", [(1, -1), (1, 0), (1, 1), (2, 1)])
+def test_grid_energy_chunk_boundaries(dtype, chunks, extra):
+    # counts at the dtype's maximum, the last one in the last (partial) chunk;
+    # uint32 counts that high take the Python-int sum
+    n = chunks * arith._ENERGY_CHUNK + extra
+    top = np.iinfo(dtype).max
+    counts = np.full(n, top, dtype=dtype)
+    counts[::3] = np.arange(0, n, 3) % 251
+    total = int(counts.sum())
+    assert grid_energy(counts, total) == sum(c * c for c in counts.tolist())
+
+
+def test_grid_energy_squares_in_chunks():
+    counts = np.full(2_000_000, 255, dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        energy = grid_energy(counts, 255 * len(counts))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert energy == len(counts) * 255**2
+    assert peak < 4 * 2**20  # a whole int64 copy of the counts takes 16 MB
 
 
 def test_sumset_bigint_route():

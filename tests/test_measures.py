@@ -245,6 +245,13 @@ def row_scan(xs, pos, score, near, min_count, min_length, cap):
     return cands, pairs
 
 
+def as_tuples(scan):
+    """_window_scan's (candidate arrays, pairs) as row_scan's (tuples, pairs)."""
+    cands, pairs = scan
+    assert cands[0].dtype == np.int64 and all(a.dtype == cands[1].dtype for a in cands[2:])
+    return list(zip(*(a.tolist() for a in cands))), pairs
+
+
 def _objective(alpha):
     """The (score, near) pair of dimension_estimate (alpha None) or of the
     count / length**alpha scans."""
@@ -292,9 +299,9 @@ def test_window_scan_matches_row_scan(xs, big, step, append, min_count, min_leng
     score, near = _objective(alpha)
     args = (arr, pos, score, near, min_count, min_length)
     oracle = row_scan(*args, cap=measures._MAX_CANDIDATES)
-    assert _window_scan(*args) == oracle
+    assert as_tuples(_window_scan(*args)) == oracle
     with mock.patch.object(measures, "_MAX_CANDIDATES", 3):
-        assert _window_scan(*args) == (oracle[0][:3], oracle[1])
+        assert as_tuples(_window_scan(*args)) == (oracle[0][:3], oracle[1])
 
 
 def test_all_ties_stop_early():
@@ -331,5 +338,59 @@ def test_long_jittered_gaps_stay_small():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got == row_scan(*args, cap=measures._MAX_CANDIDATES)
+        assert as_tuples(got) == row_scan(*args, cap=measures._MAX_CANDIDATES)
         assert peak < 16 * 2**20
+
+
+def fold_oracle(cands):
+    """The dimension pick over candidate tuples in row-major order: a ratio
+    more than 1e-12 above the best so far takes over, and one within 1e-12
+    of it takes over when its (length, start) is less."""
+    best = cands[0]
+    best_r = math.log(best[0]) / math.log(best[1])
+    for cand in cands[1:]:
+        r = math.log(cand[0]) / math.log(cand[1])
+        if r > best_r + 1e-12 or (
+            abs(r - best_r) <= 1e-12 and (cand[1], cand[2]) < (best[1], best[2])
+        ):
+            best, best_r = cand, max(r, best_r)
+    return best
+
+
+# two candidates: (0, L - 1] holds 3 elements and scores best, the shorter
+# (L - 10**30, L - 1] holds 2 and scores just more than 1e-12 below it yet
+# within the scan's near-tie threshold, so the pick must keep the longer one
+_L = 353895480888091612097155443644316720523202527231
+_STRADDLE = [0, _L - 10**30, _L - 1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(-5000, 5000), min_size=2, max_size=40, unique=True),
+        st.lists(st.integers(-30, 30), min_size=2, max_size=30, unique=True),
+        # runs of consecutive integers: every window of a run scores exactly 1
+        st.lists(st.tuples(st.integers(-200, 200), st.integers(1, 80)), min_size=1, max_size=4)
+        .map(lambda runs: sorted({a + k for a, n in runs for k in range(n)}))
+        .filter(lambda xs: len(xs) >= 2),
+    ),
+    st.sampled_from([0, 2**70]),
+    st.sampled_from([1, 2, 5, 30]),
+    st.sampled_from([50_000_000, 300]),  # 300: scanned on a stride
+)
+@example(_STRADDLE, 0, 2, 50_000_000)
+# lengths beyond float range score 0 in the scan, so every window is a candidate
+@example([0, 10**400, 3 * 10**400], 0, 2, 50_000_000)
+def test_dimension_pick_matches_fold(xs, shift, min_length, budget):
+    E = IntegerSet(xs, "d").shift(shift)
+    arr, pos, _ = measures._scan_array(E, budget)
+    cands, _ = row_scan(
+        arr, pos, *_objective(None), 2, max(2, min_length), cap=measures._MAX_CANDIDATES
+    )
+    try:
+        d = dimension_estimate(E, ScanSchedule(budget=budget, min_length=min_length))
+    except DegenerateSetError:
+        assert not cands
+        return
+    count, length, xi, xj = fold_oracle(cands)
+    assert (d.count, d.length, d.witness) == (count, length, Interval(xi - 1, xj))
