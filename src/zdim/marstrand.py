@@ -8,8 +8,9 @@ histograms with their Cauchy-Schwarz bound, and randomized sweeps
 estimating the dimension of E + floor(lam*F) across a window.
 
 Delta runs on integer arrays, exactly.  delta_exact walks every slope
-pair one cell of its smaller slope at a time, in chunks, and reads its
-weights from prefix sums over the histogram of the differences of E
+pair one cell at a time, in chunks, on the cells of its smaller slope
+or of the difference of two slopes of one sign when that is smaller,
+and reads its weights from the histogram of the differences of E
 within the band a floor gap can reach; _delta_quadrature integrates
 the collision energy on its own histogram of a + floor(lam*b), updated
 in blocks of breakpoints.  Rational values are carried as integer
@@ -31,6 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import arithmetic
 from .arithmetic import (
     SizeGuardError,
     _sorted_runs,
@@ -282,27 +284,70 @@ def _band_histogram(xs: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]
     return _sorted_runs(*(np.concatenate(p) for p in zip(*parts)))
 
 
+def _cells(first, ncell):
+    """The walk over cells first[p], ..., first[p] + ncell[p] - 1 of each pair p.
+
+    Yields (x, p, i) per chunk of _DELTA_CHUNK cells: x numbers the cells
+    of the walk, p is each cell's pair and i its cell index.
+    """
+    ends = np.cumsum(ncell)
+    first = first - (ends - ncell)  # the x-th cell walked is cell x + first[p] of its pair p
+    cells = int(ends[-1]) if len(ends) else 0
+    for start in range(0, cells, _DELTA_CHUNK):
+        x = np.arange(start, min(start + _DELTA_CHUNK, cells))
+        p = np.searchsorted(ends, x, side="right")
+        yield x, p, x + first[p]
+
+
+def _add_per_pair(num, p, terms):
+    """Add the cell terms (last axis in walk order) to the entries of their pairs p."""
+    at = np.flatnonzero(np.diff(p, prepend=-1))
+    num[..., p[at]] += np.add.reduceat(terms, at, axis=-1)
+
+
 def _slope_row(b2, bs, lo, hi, den, values, counts, below):
     """Route one for the slope pairs (b2, b), b in bs, every b > b2.
 
-    Returns (grids, numerators, weight, breakpoints): pair p spends
-    numerators[p] / grids[p] of window measure on gaps g, each piece
+    Returns (grids, numerators, weight, breakpoints): the pairs spend
+    sum(numerators[t] / grids[t]) of window measure on gaps g, each piece
     weighted by its number of a-differences g; weight adds those numbers
     over the distinct gaps each pair hits, and breakpoints counts the
     inner cuts of all pairs.  values (sorted, closed by a sentinel above
     every gap) and counts hold the histogram, below[j] = sum(counts[:j]).
 
-    A pair is walked one cell of its smaller slope at a time, in chunks
-    of _DELTA_CHUNK cells; a zero slope never cuts and gives one cell,
-    [0, nhi).  On fine interval k of cell i the gap is k + sign*i +
-    offset (sign -1 for one sign, +1 for opposite signs, 0 with a zero
-    slope), so a cell's gaps rise one per fine interval from g1 to g2:
-    its end pieces are weighted by their lengths, the fine intervals
-    between them by prefix sums.  For one sign the gap falls by at most
-    one at a coarse cut and a full cell holds two gaps or more, so a pair
-    hits every gap from its least (in its first two cells) to its
-    greatest (in its last two).  For opposite signs it never falls and
-    skips one where both slopes cut, so distinct cells hit distinct gaps.
+    A pair is walked one cell at a time, in chunks of _DELTA_CHUNK cells,
+    on the cells of its smaller slope (coarse cells) or, for two slopes
+    of one sign that differ by d less than the smaller, on the cells of
+    slope d (difference cells).  A zero slope never cuts and gives one
+    coarse cell, [0, nhi).  On fine interval k of coarse cell i the gap
+    is k + sign*i + offset (sign -1 for one sign, +1 for opposite signs,
+    0 with a zero slope), so a cell's gaps rise one per fine interval
+    from g1 to g2: its end pieces are weighted by their lengths, the fine
+    intervals between them by prefix sums.  For one sign the gap falls
+    by at most one at a coarse cut and a full cell holds two gaps or
+    more, so a pair hits every gap from its least (in its first two
+    cells) to its greatest (in its last two).  For opposite signs it
+    never falls and skips one where both slopes cut, so distinct cells
+    hit distinct gaps.  The least and greatest gap, and the breakpoints,
+    are closed forms on the coarse cells whichever cells a pair is
+    walked on; only opposite signs, never walked on difference cells,
+    read their gap weights in the walk.
+
+    Difference cells: both signs reduce to slopes 0 < S < B, d = B - S,
+    since the measure of a gap is the same for -b, -b' as for |b'|, |b|
+    (floor(-x) = -ceil(x), which differ only at the cuts).  On cell k of
+    slope d the gap floor(lam*B) - floor(lam*S) is k or k + 1, and the
+    measure mu on which it is k + 1 is the integral of the gap minus k
+    times the piece [x, y).  Shifted by the integer m = k // d below the
+    cell, which moves every floor by a multiple of its slope, the piece
+    lies in [0, 1], and with n_B(t) = floor(B*t) and c_B = n_B(y) - n_B(x),
+        mu = e*(y - x) + (c_B - c_S)*y
+             - c_B*(n_B(x) + n_B(y) + 1)/(2B) + c_S*(n_S(x) + n_S(y) + 1)/(2S),
+    e = n_B(x) - n_S(x) - k % d the excess of the gap at x: each cut of
+    B in (x, y] raises the gap for the rest of the piece and each cut of
+    S lowers it.  The cell adds C(k)*(y - x) + (C(k + 1) - C(k))*mu, C
+    read by one searchsorted, and its three parts go on the grids
+    lcm(d, den), 2B and 2S.
     """
     m_fine = np.maximum(np.abs(bs), abs(b2))
     m_coarse = np.minimum(np.abs(bs), abs(b2))
@@ -331,16 +376,11 @@ def _slope_row(b2, bs, lo, hi, den, values, counts, below):
     most = np.maximum(gap_after(nhi - 1), gap_after(np.maximum(i1 * coarse - 1, nlo)))
     top = np.searchsorted(values, most, side="right")
     weight = sum((below[top] - below[np.searchsorted(values, least)])[:rising].tolist())
-    ncell = (i1 - i0 + 1).astype(np.int64)
-    ends = np.cumsum(ncell)
-    i0 = i0 - (ends - ncell)  # the x-th cell walked is cell x + i0[p] of its pair p
-    cells = int(ends[-1])
-    skip = int(ends[rising - 1]) if rising else 0  # cells before those of opposite signs
+    by_diff = (sign < 0) & (m_fine < 2 * m_coarse)  # walked on difference cells
+    ncell = np.where(by_diff, 0, i1 - i0 + 1).astype(np.int64)
+    skip = int(ncell[:rising].sum())  # cells before those of opposite signs
     num = np.zeros(len(bs), dtype=bs.dtype)
-    for start in range(0, cells, _DELTA_CHUNK):
-        x = np.arange(start, min(start + _DELTA_CHUNK, cells))
-        p = np.searchsorted(ends, x, side="right")
-        i = x + i0[p]
+    for x, p, i in _cells(i0, ncell):
         f, c = fine[p], coarse[p]
         cut = i * c
         left = np.maximum(cut, nlo[p])
@@ -354,12 +394,41 @@ def _slope_row(b2, bs, lo, hi, den, values, counts, below):
         s1, s2 = below[j1], below[j2]
         # with g1 == g2 the last term takes back the overlap of the two ends
         cell = n1 * ((kl + 1) * f - left) + n2 * (right - kr * f) + f * (s2 - s1 - n1)
-        at = np.flatnonzero(np.diff(p, prepend=-1))
-        num[p[at]] += np.add.reduceat(cell, at)
-        o = max(skip - start, 0)
+        _add_per_pair(num, p, cell)
+        o = max(skip - int(x[0]), 0)
         if o < len(x):
             weight += int((s2[o:] + n2[o:] - s1[o:]).sum())
-    return grid, num, weight, breakpoints
+
+    big, small = m_fine[by_diff], m_coarse[by_diff]
+    d = big - small
+    dgrid = np.lcm(d, den)
+    step = dgrid // d
+    dlo = lo.numerator * (dgrid // lo.denominator)
+    dhi = hi.numerator * (dgrid // hi.denominator)
+    k0 = dlo // step
+    dnum = np.zeros((3, len(d)), dtype=bs.dtype)
+    for _, p, k in _cells(k0, ((dhi - 1) // step - k0 + 1).astype(np.int64)):
+        g, s, B, S = dgrid[p], step[p], big[p], small[p]
+        m = k // d[p]
+        cut = k * s
+        x = np.maximum(cut, dlo[p]) - m * g  # 0 <= x < y <= g
+        y = np.minimum(cut + s, dhi[p]) - m * g
+        bx, by = B * x // g, B * y // g
+        sx, sy = S * x // g, S * y // g
+        e = bx - sx - (k - m * d[p])
+        j = np.searchsorted(values, k)
+        hit = values[j] == k
+        c0 = np.where(hit, counts[j], 0)
+        j = j + hit
+        dc = np.where(values[j] == k + 1, counts[j], 0) - c0
+        terms = (
+            (c0 + dc * e) * (y - x) + dc * (by - bx - sy + sx) * y,
+            -dc * (by - bx) * (bx + by + 1),
+            dc * (sy - sx) * (sx + sy + 1),
+        )
+        _add_per_pair(dnum, p, np.stack(terms))
+    grids = np.concatenate((grid, dgrid, 2 * big, 2 * small))
+    return grids, np.concatenate((num, dnum.ravel())), weight, breakpoints
 
 
 def delta_exact(
@@ -369,8 +438,10 @@ def delta_exact(
 
     The diagonal z == z' gives |E||F| times the window measure.  Route
     one adds twice the measure of every slope pair b' < b of F, walked
-    one row (fixed b') at a time, in chunks of _DELTA_CHUNK cells of the
-    coarse slope (_slope_row).  On the integer grid lcm(|b|, |b'|, window
+    one row (fixed b') at a time, in chunks of _DELTA_CHUNK cells
+    (_slope_row).  A pair's cells are those of its smaller slope, or,
+    for two slopes of one sign that differ by d less than the smaller,
+    those of slope d.  On the integer grid lcm(|b|, |b'|, window
     denominators) the breakpoints of lam*b and lam*b' are the multiples
     of grid/|b| and grid/|b'|.  Inside a cell of the smaller slope the
     floor gap g = floor(lam*b) - floor(lam*b') rises by one at each cut
@@ -378,9 +449,12 @@ def delta_exact(
     end pieces and a prefix sum over the histogram of the differences
     a' - a in [0, gap_bound], the band every gap lies in
     (_band_histogram): one searchsorted per cell end, none per piece.
-    Cell numerators are summed per pair (int64 when a bound on every
-    product, taken from F, |E| and the window, is below 2**62, object
-    dtype otherwise), grouped by grid and added as Fractions.
+    Inside a cell k of slope d the gap is k or k + 1, and the measure of
+    k + 1 has a closed form in the floors of lam*b and lam*b' at the
+    cell's ends: one searchsorted per cell.  Cell numerators are summed
+    per pair (int64 when a bound on every product, taken from F, |E| and
+    the window, is below 2**62, object dtype otherwise), grouped by grid
+    and added as Fractions.
 
     Route two, _delta_quadrature, integrates the collision energy
     across every breakpoint of lam*F on its own histogram of
@@ -388,6 +462,10 @@ def delta_exact(
     positive_pairs counts ordered pairs whose collision set has positive
     measure and breakpoint_count the inner cuts of route one, counted
     per pair in closed form.
+
+    Route two holds arrays of one entry per breakpoint event k/|b|, so
+    a window with more events than _BYTE_BUDGET allows is refused with
+    SizeGuardError before either route allocates.
     """
     if len(E) == 0 or len(F) == 0:
         raise ValueError("empty set")
@@ -399,6 +477,15 @@ def delta_exact(
         )
     lo, hi = window.lo, window.hi
     fvals = F.elements
+    # at most eight 8-byte entries per event are alive at once in route
+    # two: owner, rank, k, its float key, the sort order, then dN and the
+    # two factors of k*dN
+    events = sum(math.ceil(hi * m) - math.floor(lo * m) - 1 for m in map(abs, fvals) if m)
+    if 64 * events > arithmetic._BYTE_BUDGET:
+        raise SizeGuardError(
+            f"delta window too wide ({events} breakpoint events, {64 * events} bytes "
+            f"> {arithmetic._BYTE_BUDGET}), narrow the lambda window"
+        )
     total = Fraction(pairs) * window.measure  # z == z' diagonal
     positive = pairs
     breakpoints = 0
@@ -406,12 +493,22 @@ def delta_exact(
         bmax = max(abs(fvals[0]), abs(fvals[-1]))
         den = _lcm(lo.denominator, hi.denominator)
         gap_bound = math.floor(2 * bmax * hi) + 1  # 0 <= g < lam*(b - b') + 1
-        # Grids are at most G = bmax**2 * den, steps at most max(hi, 1)*G
-        # (a zero slope's cell is [0, nhi)), the ends i*c + c and k*f + f
-        # at most nhi = hi*grid plus a step.  A cell's three terms are each
-        # at most |E| steps, so their sum stays below 1.5 * 2**62; prefix
-        # sums count at most |E|(|E| + 1)/2 differences a' - a >= 0, and a
-        # chunk adds the gap weights of fewer than |F| pairs.
+        # Coarse cells: grids are at most G = bmax**2 * den, steps at most
+        # max(hi, 1)*G (a zero slope's cell is [0, nhi)), the ends i*c + c
+        # and k*f + f at most nhi = hi*grid plus a step.  A cell's three
+        # terms are each at most |E| steps, so their sum stays below
+        # 1.5 * 2**62; prefix sums count at most |E|(|E| + 1)/2 differences
+        # a' - a >= 0, and a chunk adds the gap weights of fewer than |F|
+        # pairs.  Difference cells of slopes S < B, d = B - S < S (so
+        # 2d + 1 <= B <= bmax and B >= 3): the grid g = lcm(d, den) is at
+        # most d*den, the shifted ends 0 <= x < y <= g, so B*y < bmax**2*den,
+        # and the counts C(k), C(k + 1) and their difference are at most |E|.
+        # With K = 2*max(hi, 1)*bmax**2*den*|E|, the product bounded below,
+        # a pair's terms on grid g add up to at most
+        # |E|*g*((2d + 1)*(hi - lo) + 4) < 0.6*K over its at most
+        # d*(hi - lo) + 2 cells (|c_B - c_S| <= 2 and y <= g), and on grid 2B
+        # to at most 2*|E|*B*(B*(hi - lo) + 1) < 1.4*K, as n_B(x) + n_B(y)
+        # + 1 <= 2B and B has at most B*(hi - lo) + 1 cuts; so do 2S's.
         n = len(E)
         fits = (
             2 * max(hi, 1) * bmax**2 * den * n < _INT64_LIMIT

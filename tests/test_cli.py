@@ -7,7 +7,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from zdim.cli import _SUBCOMMANDS, ExperimentConfig, build_parser, main
-from zdim.intset import read_zset
+from zdim.intset import IntegerSet, read_zset, write_zset
 
 
 def run(capsys, *argv):
@@ -216,6 +216,15 @@ def test_collide_histogram_and_delta(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["delta"]["agreement"] is True
     assert Fr(rep["delta"]["exact"]) == Fr(rep["delta"]["quadrature"]) == 19
+
+
+def test_collide_delta_refuses_a_window_of_too_many_events(tmp_path, capsys):
+    big = tmp_path / "big.zset"
+    write_zset(IntegerSet([-3, 10**20], "big"), str(big))
+    code, out, err = run(capsys, "collide", str(big), str(big), "--lambda", "1",
+                         "--delta-min", "1", "--delta-max", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: delta window too wide") and "Traceback" not in err
 
 
 def test_collide_unpaired_delta_flag_is_a_usage_error(tmp_path, capsys):

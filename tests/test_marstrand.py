@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import zdim.arithmetic as arithmetic
 import zdim.marstrand as marstrand
 from zdim.intset import IntegerSet, Interval
 from zdim.marstrand import (
@@ -275,6 +276,17 @@ _INT64_HI = ((1 << 62) - 1) // 48
 # beyond it (test_delta_exact_int64_boundary)
 @example([0, 1, 2], [1, 2], False, 0, _INT64_HI - 2, Fr(1), Fr(1))
 @example([0, 1, 2], [1, 2], False, 0, _INT64_HI - 1, Fr(1), Fr(1))
+# slopes 7 and 9 walk the cells of slope 2, and the window ends at 3/7 and
+# 10/7 lie off that cell grid
+@example([0, 1, 3, 4, 9], [7, 9], False, 0, 0, Fr(3, 7), Fr(1))
+# |b| = 2|b'|: the slopes differ by the smaller, so the pair keeps coarse cells
+@example([0, 1, 3, 4, 9], [5, 10], False, 0, 0, Fr(1, 3), Fr(2))
+# row 6 has difference cells for 7 and 8 and coarse cells for 13
+@example([0, 2, 3, 7], [6, 7, 8, 13], False, 0, 0, Fr(1, 2), Fr(5, 2))
+# both slopes negative, walked on the cells of their difference 2
+@example([0, 1, 4, 9], [-9, -7], False, 0, 0, Fr(2, 3), Fr(7, 4))
+# a zero slope beside the difference pair (5, 6)
+@example([0, 2, 5, 11], [5, 6], True, 0, 0, Fr(1, 4), Fr(9, 4))
 def test_delta_routes_match_oracle(xs, ys, zero, shift, far, lo, width):
     # E + 10**30 leaves int64.  far = 10**15 puts the window where the
     # float keys k/|b| of distinct events tie, and makes E span far so that
@@ -342,6 +354,65 @@ def test_slope_row_walks_cells_not_fine_intervals(dtype):
     assert (grids.tolist(), nums.tolist(), weight) == ([10**7], [3], 2)
     # the fine cuts strictly inside, the coarse cut at 1 among them
     assert cuts == 10**7 - 1
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_slope_row_walks_difference_cells(monkeypatch, dtype):
+    # slopes N = 10**9 and N + 1 over (1/2, 3/2]: about N coarse cells of
+    # slope N, two cells of their difference 1.  On [j/N, (j + 1)/N) the gap
+    # is 1 + floor(lam) from (j + 1)/(N + 1) on and floor(lam) before, so
+    # gap 1 holds on (1/2, 1) for sum over m = N/2 + 1 .. N of m/(N(N + 1)),
+    # that is mu = 1/2 - (N + 2)/(8(N + 1)), and gap 2 on [1, 3/2) for
+    # (N + 2)/(8(N + 1)).  E = {0, 1, 3} has 3, 1, 1 differences 0, 1, 2, so
+    # the pair spends 3(1/2 - mu) + mu + 1/2 = 1 + (N + 2)/(4(N + 1))
+    N = 10**9
+    walked = []
+    cells = marstrand._cells
+
+    def spy(first, ncell):
+        walked.append(int(np.sum(ncell)))
+        return cells(first, ncell)
+
+    monkeypatch.setattr(marstrand, "_cells", spy)
+    E = np.array([0, 1, 3])
+    lo, hi = Fr(1, 2), Fr(3, 2)
+    gap_bound = math.floor(2 * (N + 1) * hi) + 1
+    values, counts = marstrand._band_histogram(E, gap_bound)
+    values = np.append(values.astype(dtype), gap_bound + 1)
+    counts = np.append(counts.astype(dtype), 0)
+    below = np.cumsum(counts) - counts
+    bs = np.array([N + 1], dtype=dtype)
+    grids, nums, weight, cuts = marstrand._slope_row(N, bs, lo, hi, 2, values, counts, below)
+    assert walked == [0, 2]  # no coarse cell, two difference cells
+    assert nums.dtype == np.dtype(dtype)
+    measure = sum((Fr(int(n), int(g)) for g, n in zip(grids, nums)), Fr(0))
+    assert measure == 1 + Fr(N + 2, 4 * (N + 1))
+    # gaps 0, 1 and 2 are hit; the cuts of N + 1 and of N strictly inside,
+    # less the shared cut at 1
+    assert (weight, cuts) == (5, (N + 1) + (N - 1) - 1)
+
+
+def test_delta_refuses_wide_windows_before_allocating(monkeypatch):
+    # F = {3, 4} over (1, 2]: route two has 2 + 3 = 5 events of 64 bytes
+    calls = []
+    for name in ("_band_histogram", "_delta_quadrature"):
+        monkeypatch.setattr(marstrand, name, lambda *args, name=name: calls.append(name))
+    E, F = IntegerSet([0, 1, 5], "e"), IntegerSet([3, 4], "f")
+    w = LambdaWindow(Fr(1), Fr(2))
+    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", 5 * 64 - 1)
+    with pytest.raises(SizeGuardError, match=r"\(5 breakpoint events, 320 bytes > 319\)"):
+        delta_exact(E, F, w)
+    assert calls == []
+    monkeypatch.undo()
+    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", 5 * 64)
+    assert delta_exact(E, F, w).agreement
+
+
+def test_delta_refuses_huge_slopes():
+    # about 2 * 10**20 events: refused before route one counts its cells
+    F = IntegerSet([10**20, 10**20 + 1], "f")
+    with pytest.raises(SizeGuardError, match="narrow the lambda window"):
+        delta_exact(IntegerSet([0, 1, 2], "e"), F, LambdaWindow(Fr(1), Fr(2)))
 
 
 @pytest.mark.parametrize("block, rows", [(1, None), (None, 0)])
