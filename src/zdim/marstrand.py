@@ -408,25 +408,25 @@ def _slope_row(b2, bs, lo, hi, den, values, counts, below):
     k0 = dlo // step
     dnum = np.zeros((3, len(d)), dtype=bs.dtype)
     for _, p, k in _cells(k0, ((dhi - 1) // step - k0 + 1).astype(np.int64)):
-        g, s, B, S = dgrid[p], step[p], big[p], small[p]
+        g = dgrid[p]
         m = k // d[p]
-        cut = k * s
-        x = np.maximum(cut, dlo[p]) - m * g  # 0 <= x < y <= g
-        y = np.minimum(cut + s, dhi[p]) - m * g
-        bx, by = B * x // g, B * y // g
-        sx, sy = S * x // g, S * y // g
-        e = bx - sx - (k - m * d[p])
+        r = k - m * d[p]  # k % d
+        m *= g  # the integer below the cell, on the grid
+        y = k * step[p]
+        x = np.maximum(y, dlo[p]) - m  # 0 <= x < y <= g
+        y = np.minimum(y + step[p], dhi[p]) - m
+        bx, by = big[p] * x // g, big[p] * y // g
+        sx, sy = small[p] * x // g, small[p] * y // g
         j = np.searchsorted(values, k)
-        hit = values[j] == k
-        c0 = np.where(hit, counts[j], 0)
-        j = j + hit
+        c0 = np.where(values[j] == k, counts[j], 0)
+        j += values[j] == k
         dc = np.where(values[j] == k + 1, counts[j], 0) - c0
-        terms = (
-            (c0 + dc * e) * (y - x) + dc * (by - bx - sy + sx) * y,
-            -dc * (by - bx) * (bx + by + 1),
-            dc * (sy - sx) * (sx + sy + 1),
-        )
-        _add_per_pair(dnum, p, np.stack(terms))
+        # few chunk-sized arrays at once: the walk's peak stays the coarse walk's
+        terms = np.empty((3, len(k)), dtype=dnum.dtype)
+        terms[0] = (c0 + dc * (bx - sx - r)) * (y - x) + dc * (by - bx - sy + sx) * y
+        terms[1] = -dc * (by - bx) * (bx + by + 1)
+        terms[2] = dc * (sy - sx) * (sx + sy + 1)
+        _add_per_pair(dnum, p, terms)
     grids = np.concatenate((grid, dgrid, 2 * big, 2 * small))
     return grids, np.concatenate((num, dnum.ravel())), weight, breakpoints
 
