@@ -305,6 +305,59 @@ def _add_per_pair(num, p, terms):
     num[..., p[at]] += np.add.reduceat(terms, at, axis=-1)
 
 
+def _difference_cells(big, small, lo, hi, den, values, counts):
+    """Route one for the slope pairs (small[p], big[p]), 0 < small < big < 2*small.
+
+    Returns (grids, numerators): the pairs spend sum(numerators[t] /
+    grids[t]) of window measure on gaps g, each piece weighted by its
+    number of a-differences g.  values and counts hold the histogram as
+    in _slope_row.
+
+    Two slopes of one sign reduce to slopes 0 < S < B, d = B - S < S,
+    since the measure of a gap is the same for -b, -b' as for |b'|, |b|
+    (floor(-x) = -ceil(x), which differ only at the cuts).  On cell k of
+    slope d the gap floor(lam*B) - floor(lam*S) is k or k + 1, and the
+    measure mu on which it is k + 1 is the integral of the gap minus k
+    times the piece [x, y).  Shifted by the integer m = k // d below the
+    cell, which moves every floor by a multiple of its slope, the piece
+    lies in [0, 1], and with n_B(t) = floor(B*t) and c_B = n_B(y) - n_B(x),
+        mu = e*(y - x) + (c_B - c_S)*y
+             - c_B*(n_B(x) + n_B(y) + 1)/(2B) + c_S*(n_S(x) + n_S(y) + 1)/(2S),
+    e = n_B(x) - n_S(x) - k % d the excess of the gap at x: each cut of
+    B in (x, y] raises the gap for the rest of the piece and each cut of
+    S lowers it.  The cell adds C(k)*(y - x) + (C(k + 1) - C(k))*mu, C
+    read by one searchsorted, and its three parts go on the grids
+    lcm(d, den), 2B and 2S.
+    """
+    d = big - small
+    grid = np.lcm(d, den)
+    step = grid // d
+    nlo = lo.numerator * (grid // lo.denominator)
+    nhi = hi.numerator * (grid // hi.denominator)
+    k0 = nlo // step
+    num = np.zeros((3, len(d)), dtype=big.dtype)
+    for _, p, k in _cells(k0, ((nhi - 1) // step - k0 + 1).astype(np.int64)):
+        g = grid[p]
+        m = k // d[p]
+        r = k - m * d[p]  # k % d
+        m *= g  # the integer below the cell, on the grid
+        y = k * step[p]
+        x = np.maximum(y, nlo[p]) - m  # 0 <= x < y <= g
+        y = np.minimum(y + step[p], nhi[p]) - m
+        bx, by = big[p] * x // g, big[p] * y // g
+        sx, sy = small[p] * x // g, small[p] * y // g
+        j = np.searchsorted(values, k)
+        c0 = np.where(values[j] == k, counts[j], 0)
+        j += values[j] == k
+        dc = np.where(values[j] == k + 1, counts[j], 0) - c0
+        terms = np.empty((3, len(k)), dtype=num.dtype)
+        terms[0] = (c0 + dc * (bx - sx - r)) * (y - x) + dc * (by - bx - sy + sx) * y
+        terms[1] = -dc * (by - bx) * (bx + by + 1)
+        terms[2] = dc * (sy - sx) * (sx + sy + 1)
+        _add_per_pair(num, p, terms)
+    return np.concatenate((grid, 2 * big, 2 * small)), num.ravel()
+
+
 def _slope_row(b2, bs, lo, hi, den, values, counts, below):
     """Route one for the slope pairs (b2, b), b in bs, every b > b2.
 
@@ -331,23 +384,8 @@ def _slope_row(b2, bs, lo, hi, den, values, counts, below):
     hit distinct gaps.  The least and greatest gap, and the breakpoints,
     are closed forms on the coarse cells whichever cells a pair is
     walked on; only opposite signs, never walked on difference cells,
-    read their gap weights in the walk.
-
-    Difference cells: both signs reduce to slopes 0 < S < B, d = B - S,
-    since the measure of a gap is the same for -b, -b' as for |b'|, |b|
-    (floor(-x) = -ceil(x), which differ only at the cuts).  On cell k of
-    slope d the gap floor(lam*B) - floor(lam*S) is k or k + 1, and the
-    measure mu on which it is k + 1 is the integral of the gap minus k
-    times the piece [x, y).  Shifted by the integer m = k // d below the
-    cell, which moves every floor by a multiple of its slope, the piece
-    lies in [0, 1], and with n_B(t) = floor(B*t) and c_B = n_B(y) - n_B(x),
-        mu = e*(y - x) + (c_B - c_S)*y
-             - c_B*(n_B(x) + n_B(y) + 1)/(2B) + c_S*(n_S(x) + n_S(y) + 1)/(2S),
-    e = n_B(x) - n_S(x) - k % d the excess of the gap at x: each cut of
-    B in (x, y] raises the gap for the rest of the piece and each cut of
-    S lowers it.  The cell adds C(k)*(y - x) + (C(k + 1) - C(k))*mu, C
-    read by one searchsorted, and its three parts go on the grids
-    lcm(d, den), 2B and 2S.
+    read their gap weights in the walk.  Difference cells are walked by
+    _difference_cells.
     """
     m_fine = np.maximum(np.abs(bs), abs(b2))
     m_coarse = np.minimum(np.abs(bs), abs(b2))
@@ -377,6 +415,10 @@ def _slope_row(b2, bs, lo, hi, den, values, counts, below):
     top = np.searchsorted(values, most, side="right")
     weight = sum((below[top] - below[np.searchsorted(values, least)])[:rising].tolist())
     by_diff = (sign < 0) & (m_fine < 2 * m_coarse)  # walked on difference cells
+    # before the coarse walk, whose last chunk's arrays outlive its loop
+    dgrids, dnums = _difference_cells(
+        m_fine[by_diff], m_coarse[by_diff], lo, hi, den, values, counts
+    )
     ncell = np.where(by_diff, 0, i1 - i0 + 1).astype(np.int64)
     skip = int(ncell[:rising].sum())  # cells before those of opposite signs
     num = np.zeros(len(bs), dtype=bs.dtype)
@@ -399,36 +441,7 @@ def _slope_row(b2, bs, lo, hi, den, values, counts, below):
         if o < len(x):
             weight += int((s2[o:] + n2[o:] - s1[o:]).sum())
 
-    big, small = m_fine[by_diff], m_coarse[by_diff]
-    d = big - small
-    dgrid = np.lcm(d, den)
-    step = dgrid // d
-    dlo = lo.numerator * (dgrid // lo.denominator)
-    dhi = hi.numerator * (dgrid // hi.denominator)
-    k0 = dlo // step
-    dnum = np.zeros((3, len(d)), dtype=bs.dtype)
-    for _, p, k in _cells(k0, ((dhi - 1) // step - k0 + 1).astype(np.int64)):
-        g = dgrid[p]
-        m = k // d[p]
-        r = k - m * d[p]  # k % d
-        m *= g  # the integer below the cell, on the grid
-        y = k * step[p]
-        x = np.maximum(y, dlo[p]) - m  # 0 <= x < y <= g
-        y = np.minimum(y + step[p], dhi[p]) - m
-        bx, by = big[p] * x // g, big[p] * y // g
-        sx, sy = small[p] * x // g, small[p] * y // g
-        j = np.searchsorted(values, k)
-        c0 = np.where(values[j] == k, counts[j], 0)
-        j += values[j] == k
-        dc = np.where(values[j] == k + 1, counts[j], 0) - c0
-        # few chunk-sized arrays at once: the walk's peak stays the coarse walk's
-        terms = np.empty((3, len(k)), dtype=dnum.dtype)
-        terms[0] = (c0 + dc * (bx - sx - r)) * (y - x) + dc * (by - bx - sy + sx) * y
-        terms[1] = -dc * (by - bx) * (bx + by + 1)
-        terms[2] = dc * (sy - sx) * (sx + sy + 1)
-        _add_per_pair(dnum, p, terms)
-    grids = np.concatenate((grid, dgrid, 2 * big, 2 * small))
-    return grids, np.concatenate((num, dnum.ravel())), weight, breakpoints
+    return np.concatenate((grid, dgrids)), np.concatenate((num, dnums)), weight, breakpoints
 
 
 def delta_exact(

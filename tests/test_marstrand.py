@@ -383,7 +383,7 @@ def test_slope_row_walks_difference_cells(monkeypatch, dtype):
     below = np.cumsum(counts) - counts
     bs = np.array([N + 1], dtype=dtype)
     grids, nums, weight, cuts = marstrand._slope_row(N, bs, lo, hi, 2, values, counts, below)
-    assert walked == [0, 2]  # no coarse cell, two difference cells
+    assert walked == [2, 0]  # two difference cells, no coarse cell
     assert nums.dtype == np.dtype(dtype)
     measure = sum((Fr(int(n), int(g)) for g, n in zip(grids, nums)), Fr(0))
     assert measure == 1 + Fr(N + 2, 4 * (N + 1))
