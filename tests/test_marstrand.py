@@ -359,12 +359,14 @@ def test_slope_row_walks_cells_not_fine_intervals(dtype):
 @pytest.mark.parametrize("dtype", [np.int64, object])
 def test_slope_row_walks_difference_cells(monkeypatch, dtype):
     # slopes N = 10**9 and N + 1 over (1/2, 3/2]: about N coarse cells of
-    # slope N, two cells of their difference 1.  On [j/N, (j + 1)/N) the gap
-    # is 1 + floor(lam) from (j + 1)/(N + 1) on and floor(lam) before, so
-    # gap 1 holds on (1/2, 1) for sum over m = N/2 + 1 .. N of m/(N(N + 1)),
-    # that is mu = 1/2 - (N + 2)/(8(N + 1)), and gap 2 on [1, 3/2) for
-    # (N + 2)/(8(N + 1)).  E = {0, 1, 3} has 3, 1, 1 differences 0, 1, 2, so
-    # the pair spends 3(1/2 - mu) + mu + 1/2 = 1 + (N + 2)/(4(N + 1))
+    # slope N, two cells of their difference 1.  On [j/N, (j + 1)/N), with
+    # f = floor(lam), the gap is f + 1 from (j + 1 + f)/(N + 1) on and f
+    # before, for a length of (j + 1 - f*N)/(N(N + 1)).  So gap 1 holds on
+    # (1/2, 1) for the sum over m = N/2 + 1 .. N of m/(N(N + 1)), that is
+    # mu = 1/2 - (N + 2)/(8(N + 1)), and gap 2 on [1, 3/2) for the sum over
+    # m = 1 .. N/2, (N + 2)/(8(N + 1)).  E = {0, 1, 3} has 3, 1, 1
+    # differences 0, 1, 2, so the pair spends 3(1/2 - mu) + mu + 1/2 =
+    # 1 + (N + 2)/(4(N + 1)) of weighted window measure
     N = 10**9
     walked = []
     cells = marstrand._cells
