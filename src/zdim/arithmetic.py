@@ -8,10 +8,11 @@ downstream (window measures, double counting) stays exact.
 One engine, ``grid_histogram(E, F, lam)``, computes the histogram of the
 grid ``a + floor(lam*b)`` over ``E x F``: the distinct values in
 increasing order and the number of grid points on each.  ``sumset`` and
-``sum_scaled`` are its values; ``marstrand.collision_stats`` and
-``marstrand.sweep`` read its counts.  The route is chosen from the value
-span and the pair count alone, and both routes keep their working
-memory within one byte budget, ``_BYTE_BUDGET``:
+``sum_scaled`` are its values; ``marstrand.collision_stats``, which
+``marstrand.sweep`` and ``zdim collide`` go through, keeps both arrays.
+The route is chosen from the value span and the pair count alone, and
+both routes keep their working memory within one byte budget,
+``_BYTE_BUDGET``:
 
 - dense accumulation, when the value span is at most the number of
   pairs and its counters fit the budget: for each element ``shift`` of
@@ -237,14 +238,6 @@ def floor_scale(E: IntegerSet, lam) -> IntegerSet:
     return IntegerSet.from_sorted_array(_floors(E, p, q)[0], prov)
 
 
-def check_sum_pairs(E: IntegerSet, F: IntegerSet, max_pairs: int) -> None:
-    """The size guard of sumset: refuse more than max_pairs pairs."""
-    if len(E) * len(F) > max_pairs:
-        raise SizeGuardError(
-            f"sumset too large, restrict windows ({len(E)} x {len(F)} pairs)"
-        )
-
-
 def sumset(E: IntegerSet, F: IntegerSet, max_pairs: int = 100_000_000) -> IntegerSet:
     """{a + b : a in E, b in F}, deduplicated: the values of grid_histogram(E, F, 1).
 
@@ -252,7 +245,10 @@ def sumset(E: IntegerSet, F: IntegerSet, max_pairs: int = 100_000_000) -> Intege
     """
     if len(E) == 0 or len(F) == 0:
         raise ValueError("sumset needs nonempty sets")
-    check_sum_pairs(E, F, max_pairs)
+    if len(E) * len(F) > max_pairs:
+        raise SizeGuardError(
+            f"sumset too large, restrict windows ({len(E)} x {len(F)} pairs)"
+        )
     values, _ = grid_histogram(E, F, 1)
     return IntegerSet.from_sorted_array(
         values, f"sum({_short(E.provenance)}, {_short(F.provenance)})"

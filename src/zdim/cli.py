@@ -431,8 +431,8 @@ def cmd_collide(args) -> int:
     }
     if args.histogram:
         report["histogram"] = {
-            "values": list(rep.values),
-            "counts": list(rep.counts),
+            "values": rep._values.tolist(),
+            "counts": rep._counts.tolist(),
         }
     if args.delta_min is not None:
         window = LambdaWindow(args.delta_min, args.delta_max)

@@ -36,8 +36,6 @@ from . import arithmetic
 from .arithmetic import (
     SizeGuardError,
     _sorted_runs,
-    check_sum_pairs,
-    floor_scale,
     grid_energy,
     grid_histogram,
     grid_in_int64,
@@ -166,23 +164,50 @@ def pair_window(
 # per-lambda collision statistics
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollisionReport:
+    """Histogram of a + floor(lam*b) over E x F, its energy and bound.
+
+    The report keeps the engine's value and count arrays, read-only and
+    not copied; ``values``, ``counts`` and ``histogram`` build Python
+    ints from them on each read.  Reports compare by identity.
+    """
+
     lam: Fraction
     total: int  # |E|*|F|, all grid points counted with multiplicity
     distinct_count: int  # values of a + floor(lam*b) actually hit
     energy: int  # sum of squared multiplicities (= ordered collision pairs)
     cs_bound: Fraction  # total**2 / energy <= distinct_count
-    values: tuple[int, ...]
-    counts: tuple[int, ...]
+    _values: np.ndarray  # distinct values, increasing
+    _counts: np.ndarray  # grid points on each value
+
+    @property
+    def values(self) -> tuple[int, ...]:
+        return tuple(self._values.tolist())
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return tuple(self._counts.tolist())
 
     @property
     def histogram(self) -> dict[int, int]:
-        return dict(zip(self.values, self.counts))
+        return dict(zip(self._values.tolist(), self._counts.tolist()))
 
 
-def _check_grid(E: IntegerSet, F: IntegerSet, lam: Fraction, max_pairs: int) -> int:
-    """Size guards of a collision grid; returns its number of pairs."""
+def collision_stats(
+    E: IntegerSet, F: IntegerSet, lam, max_pairs: int = 100_000_000
+) -> CollisionReport:
+    """Histogram of a + floor(lam*b) over the product grid.
+
+    energy counts ordered colliding pairs; Cauchy-Schwarz gives
+    distinct_count >= total**2 / energy, recorded exactly as cs_bound.
+    sweep and ``zdim collide`` read their histograms from this report.
+    """
+    lam = Fraction(lam)
+    if lam <= 0:
+        raise ValueError("lambda must be positive")
+    if len(E) == 0 or len(F) == 0:
+        raise ValueError("empty set")
     pairs = len(E) * len(F)
     if pairs > max_pairs:
         raise SizeGuardError(
@@ -193,33 +218,11 @@ def _check_grid(E: IntegerSet, F: IntegerSet, lam: Fraction, max_pairs: int) -> 
             "collision grid needs big-integer handling at this size, "
             "restrict windows"
         )
-    return pairs
-
-
-def collision_stats(
-    E: IntegerSet, F: IntegerSet, lam, max_pairs: int = 100_000_000
-) -> CollisionReport:
-    """Histogram of a + floor(lam*b) over the product grid.
-
-    energy counts ordered colliding pairs; Cauchy-Schwarz gives
-    distinct_count >= total**2 / energy, recorded exactly as cs_bound.
-    """
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    if len(E) == 0 or len(F) == 0:
-        raise ValueError("empty set")
-    pairs = _check_grid(E, F, lam, max_pairs)
     values, counts = grid_histogram(E, F, lam)
+    values.flags.writeable = counts.flags.writeable = False
     energy = grid_energy(counts, pairs)
     return CollisionReport(
-        lam,
-        pairs,
-        len(values),
-        energy,
-        Fraction(pairs * pairs, energy),
-        tuple(values.tolist()),
-        tuple(counts.tolist()),
+        lam, pairs, len(values), energy, Fraction(pairs * pairs, energy), values, counts
     )
 
 
@@ -803,26 +806,21 @@ def sweep(
         for I, J, Er, Fr in parts:
             if len(Er) == 0 or len(Fr) == 0:
                 continue
-            if len(Er) * len(Fr) > max_pairs:
-                # the sum's guard fires first; it counts distinct floors
-                check_sum_pairs(Er, floor_scale(Fr, lam), max_pairs)
-            pairs = _check_grid(Er, Fr, lam, max_pairs)
-            values, counts = grid_histogram(Er, Fr, lam)
+            col = collision_stats(Er, Fr, lam, max_pairs)
             S = IntegerSet.from_sorted_array(
-                values, f"sum({Er.provenance}, scale({Fr.provenance}, {lam}))"
+                col._values, f"sum({Er.provenance}, scale({Fr.provenance}, {lam}))"
             )
             ml = min_length
             if ml is None:
                 ml = max(2, math.isqrt(S.hull().length))
             dim = dimension_estimate(S, ScanSchedule(budget=dim_budget, min_length=ml))
-            energy = grid_energy(counts, pairs)
             rec = SweepRecord(
                 lam,
                 dim.alpha_float,
                 len(S),
                 len(S),
-                energy,
-                Fraction(pairs * pairs, energy),
+                col.energy,
+                col.cs_bound,
                 _sweep_span(I, J, lam),
             )
             if best is None or rec.dimension > best.dimension:

@@ -2,12 +2,14 @@
 the JSON report shapes, exit codes, and run manifests."""
 
 import json
+from collections import Counter
 from fractions import Fraction as Fr
 
 import pytest
 
 from zdim.cli import _SUBCOMMANDS, ExperimentConfig, build_parser, main
 from zdim.intset import IntegerSet, read_zset, write_zset
+from zdim.marstrand import collision_stats
 
 
 def run(capsys, *argv):
@@ -216,6 +218,31 @@ def test_collide_histogram_and_delta(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["delta"]["agreement"] is True
     assert Fr(rep["delta"]["exact"]) == Fr(rep["delta"]["quadrature"]) == 19
+
+
+@pytest.mark.parametrize("a, b", [
+    ([n * n for n in range(1, 101)], [n * n for n in range(1, 101)]),
+    # object dtype, with a span beyond int64
+    ([-(2**70)] + [10**20 + k for k in range(0, 60, 3)], [10**20 + k for k in range(40)] + [2**80]),
+])
+def test_collide_histogram_from_the_report_arrays(tmp_path, capsys, a, b):
+    write_zset(IntegerSet(a, "a"), str(tmp_path / "a.zset"))
+    write_zset(IntegerSet(b, "b"), str(tmp_path / "b.zset"))
+    argv = ("collide", str(tmp_path / "a.zset"), str(tmp_path / "b.zset"), "--lambda", "3/2")
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--histogram")
+    assert code == 0
+    rep = json.loads(out)
+    hist = rep.pop("histogram")
+    assert rep == json.loads(plain)
+    oracle = dict(sorted(Counter(x + y * 3 // 2 for x in a for y in b).items()))
+    assert hist == {"values": list(oracle), "counts": list(oracle.values())}
+    col = collision_stats(IntegerSet(a, "a"), IntegerSet(b, "b"), Fr(3, 2))
+    values, counts, hist = col.values, col.counts, col.histogram
+    assert (type(values), type(counts), type(hist)) == (tuple, tuple, dict)
+    assert hist == oracle
+    assert all(type(v) is int for v in (*values, *counts, *hist, *hist.values()))
 
 
 def test_collide_delta_refuses_a_window_of_too_many_events(tmp_path, capsys):

@@ -7,6 +7,7 @@ each equals the pure-Python oracle below.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -212,6 +213,23 @@ def test_collision_cauchy_schwarz(xs, ys, lam):
     assert rep.cs_bound <= rep.distinct_count
     assert rep.total == len(E) * len(F)
     assert sum(rep.counts) == rep.total
+
+
+def test_collision_report_keeps_arrays_not_tuples():
+    # about 290k distinct values; tuples of Python ints would keep ~48 B each
+    rng = np.random.default_rng(5)
+    E = IntegerSet(rng.integers(0, 10**7, 1000).tolist(), "e")
+    F = IntegerSet(rng.integers(0, 10**7, 300).tolist(), "f")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rep = collision_stats(E, F, Fr(7, 4))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert rep.distinct_count >= 200_000
+    assert kept < 16 * rep.distinct_count
+    assert not rep._values.flags.writeable and not rep._counts.flags.writeable
 
 
 def test_delta_two_routes_agree_small():
@@ -519,10 +537,11 @@ def test_sweep_size_guards_keep_their_messages():
     E = IntegerSet(range(0, 1000, 3), "e")
     F = IntegerSet(range(100), "f")  # 334 x 100 pairs; floor(F/4) has 25 values
     quarter = LambdaWindow(Fr(1, 5), Fr(1, 4))
-    with pytest.raises(SizeGuardError, match=r"sumset too large, restrict windows \(334 x 25 pairs\)"):
-        sweep(E, F, quarter, samples=1, seed=0, max_pairs=334 * 25 - 1)
-    with pytest.raises(SizeGuardError, match=r"collision grid too large \(33400 pairs\)"):
-        sweep(E, F, quarter, samples=1, seed=0, max_pairs=334 * 25)
+    # the grid's pairs decide, however few distinct floors lam*F has
+    for max_pairs in (334 * 25 - 1, 334 * 25, 334 * 100 - 1):
+        with pytest.raises(SizeGuardError, match=r"collision grid too large \(33400 pairs\)"):
+            sweep(E, F, quarter, samples=1, seed=0, max_pairs=max_pairs)
+    sweep(E, F, quarter, samples=1, seed=0, max_pairs=334 * 100)
     big = IntegerSet([10**30 + k for k in range(2001)], "big")
     with pytest.raises(SizeGuardError, match="big-integer handling"):
         collision_stats(big, big, 1)
