@@ -8,14 +8,15 @@ histograms with their Cauchy-Schwarz bound, and randomized sweeps
 estimating the dimension of E + floor(lam*F) across a window.
 
 Delta runs on integer arrays, exactly.  delta_exact walks every slope
-pair one cell at a time, in chunks, on the cells of its smaller slope
-or of the difference of two slopes of one sign when that is smaller,
-and reads its weights from the histogram of the differences of E
-within the band a floor gap can reach; _delta_quadrature integrates
-the collision energy on its own histogram of a + floor(lam*b), updated
-in blocks of breakpoints.  Rational values are carried as integer
-numerators over known grids, and only a few Fractions are built at the
-end.  The int64 paths run only where a bound proves that no product
+pair one cell at a time, in chunks that hold the cells of many pairs
+and rows, on the cells of its smaller slope or of the difference of two
+slopes of one sign when that is smaller, and reads its weights from the
+histogram of the differences of E within the band a floor gap can
+reach; _delta_quadrature integrates the collision energy on its own
+histogram of a + floor(lam*b), updated in blocks of breakpoints, one
+sort of packed integer keys per block.  Rational values are carried as
+integer numerators over known grids, and only a few Fractions are
+built at the end.  The int64 paths run only where a bound proves that no product
 leaves int64 (and the event order only where float keys are proven
 exact); object dtype, or a Fraction sort, takes over otherwise, with
 the same code.
@@ -268,30 +269,37 @@ def _band_histogram(xs: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]
     """
     if xs.dtype != object and bound >= _INT64_LIMIT:
         xs = xs.astype(object)  # a + bound may leave int64
-    n = len(xs)
-    lens = np.searchsorted(xs, xs + bound, side="right") - np.arange(n)
-    ends = np.cumsum(lens)
-    parts = []
-    start = 0
-    while start < n:
-        base = int(ends[start - 1]) if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, base + _BAND_CHUNK, side="right")))
-        rows = np.repeat(np.arange(start, stop), lens[start:stop])
-        # pair t of row r is (r, r + t - first pair of r)
-        firsts = ends[start:stop] - lens[start:stop] - base
-        cols = np.arange(len(rows)) - firsts[rows - start] + rows
-        parts.append(_sorted_runs(xs[cols] - xs[rows]))
-        start = stop
+    lens = np.searchsorted(xs, xs + bound, side="right") - np.arange(len(xs))
+    groups = _row_groups(lens, _BAND_CHUNK)
+    parts = [_sorted_runs(xs[rows + t] - xs[rows]) for rows, t in groups]
     if len(parts) == 1:
         return parts[0]
     return _sorted_runs(*(np.concatenate(p) for p in zip(*parts)))
 
 
+def _row_groups(lens, limit):
+    """Groups of whole rows, row r holding lens[r] entries, in row order.
+
+    A group adds rows while it holds at most limit entries, and always
+    holds at least one row.  Yields (rows, t) per group: the row of each
+    entry and its place in that row.
+    """
+    ends = np.cumsum(lens)
+    start = 0
+    while start < len(lens):
+        base = int(ends[start - 1]) if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, base + limit, side="right")))
+        rows = np.repeat(np.arange(start, stop), lens[start:stop])
+        firsts = ends[start:stop] - lens[start:stop] - base  # first entry of each row
+        yield rows, np.arange(len(rows)) - firsts[rows - start]
+        start = stop
+
+
 def _cells(first, ncell):
     """The walk over cells first[p], ..., first[p] + ncell[p] - 1 of each pair p.
 
-    Yields (x, p, i) per chunk of _DELTA_CHUNK cells: x numbers the cells
-    of the walk, p is each cell's pair and i its cell index.
+    Yields (p, i) per chunk of _DELTA_CHUNK cells: p is each cell's pair
+    and i its cell index.
     """
     ends = np.cumsum(ncell)
     first = first - (ends - ncell)  # the x-th cell walked is cell x + first[p] of its pair p
@@ -299,7 +307,7 @@ def _cells(first, ncell):
     for start in range(0, cells, _DELTA_CHUNK):
         x = np.arange(start, min(start + _DELTA_CHUNK, cells))
         p = np.searchsorted(ends, x, side="right")
-        yield x, p, x + first[p]
+        yield p, x + first[p]
 
 
 def _add_per_pair(num, p, terms):
@@ -314,7 +322,7 @@ def _difference_cells(big, small, lo, hi, den, values, counts):
     Returns (grids, numerators): the pairs spend sum(numerators[t] /
     grids[t]) of window measure on gaps g, each piece weighted by its
     number of a-differences g.  values and counts hold the histogram as
-    in _slope_row.
+    in _slope_pairs.
 
     Two slopes of one sign reduce to slopes 0 < S < B, d = B - S < S,
     since the measure of a gap is the same for -b, -b' as for |b'|, |b|
@@ -339,7 +347,7 @@ def _difference_cells(big, small, lo, hi, den, values, counts):
     nhi = hi.numerator * (grid // hi.denominator)
     k0 = nlo // step
     num = np.zeros((3, len(d)), dtype=big.dtype)
-    for _, p, k in _cells(k0, ((nhi - 1) // step - k0 + 1).astype(np.int64)):
+    for p, k in _cells(k0, ((nhi - 1) // step - k0 + 1).astype(np.int64)):
         g = grid[p]
         m = k // d[p]
         r = k - m * d[p]  # k % d
@@ -361,8 +369,8 @@ def _difference_cells(big, small, lo, hi, den, values, counts):
     return np.concatenate((grid, 2 * big, 2 * small)), num.ravel()
 
 
-def _slope_row(b2, bs, lo, hi, den, values, counts, below):
-    """Route one for the slope pairs (b2, b), b in bs, every b > b2.
+def _slope_pairs(b2, bs, lo, hi, den, values, counts, below):
+    """Route one for the slope pairs (b2[p], bs[p]), every bs[p] > b2[p].
 
     Returns (grids, numerators, weight, breakpoints): the pairs spend
     sum(numerators[t] / grids[t]) of window measure on gaps g, each piece
@@ -371,27 +379,28 @@ def _slope_row(b2, bs, lo, hi, den, values, counts, below):
     inner cuts of all pairs.  values (sorted, closed by a sentinel above
     every gap) and counts hold the histogram, below[j] = sum(counts[:j]).
 
-    A pair is walked one cell at a time, in chunks of _DELTA_CHUNK cells,
-    on the cells of its smaller slope (coarse cells) or, for two slopes
-    of one sign that differ by d less than the smaller, on the cells of
-    slope d (difference cells).  A zero slope never cuts and gives one
-    coarse cell, [0, nhi).  On fine interval k of coarse cell i the gap
-    is k + sign*i + offset (sign -1 for one sign, +1 for opposite signs,
-    0 with a zero slope), so a cell's gaps rise one per fine interval
-    from g1 to g2: its end pieces are weighted by their lengths, the fine
-    intervals between them by prefix sums.  For one sign the gap falls
-    by at most one at a coarse cut and a full cell holds two gaps or
-    more, so a pair hits every gap from its least (in its first two
-    cells) to its greatest (in its last two).  For opposite signs it
-    never falls and skips one where both slopes cut, so distinct cells
-    hit distinct gaps.  The least and greatest gap, and the breakpoints,
-    are closed forms on the coarse cells whichever cells a pair is
-    walked on; only opposite signs, never walked on difference cells,
-    read their gap weights in the walk.  Difference cells are walked by
+    A pair is walked one cell at a time, in chunks of _DELTA_CHUNK cells
+    that may hold cells of many pairs, on the cells of its smaller slope
+    (coarse cells) or, for two slopes of one sign that differ by d less
+    than the smaller, on the cells of slope d (difference cells).  A
+    zero slope never cuts and gives one coarse cell, [0, nhi).  On fine
+    interval k of coarse cell i the gap is k + sign*i + offset (sign -1
+    for one sign, +1 for opposite signs, 0 with a zero slope), so a
+    cell's gaps rise one per fine interval from g1 to g2: its end pieces
+    are weighted by their lengths, the fine intervals between them by
+    prefix sums.  For one sign the gap falls by at most one at a coarse
+    cut and a full cell holds two gaps or more, so a pair hits every gap
+    from its least (in its first two cells) to its greatest (in its last
+    two).  For opposite signs it never falls and skips one where both
+    slopes cut, so distinct cells hit distinct gaps.  The least and
+    greatest gap, and the breakpoints, are closed forms on the coarse
+    cells whichever cells a pair is walked on; only the cells of
+    opposite signs, never walked on difference cells, add their gap
+    weights in the walk.  Difference cells are walked by
     _difference_cells.
     """
-    m_fine = np.maximum(np.abs(bs), abs(b2))
-    m_coarse = np.minimum(np.abs(bs), abs(b2))
+    m_fine = np.maximum(np.abs(bs), np.abs(b2))
+    m_coarse = np.minimum(np.abs(bs), np.abs(b2))
     grid = np.lcm(np.lcm(m_fine, np.maximum(m_coarse, 1)), den)
     nlo = lo.numerator * (grid // lo.denominator)
     nhi = hi.numerator * (grid // hi.denominator)
@@ -404,28 +413,27 @@ def _slope_row(b2, bs, lo, hi, den, values, counts, below):
         return (nhi - 1) // step - nlo // step
 
     breakpoints = sum((inner(fine) + inner(coarse) - inner(both)).tolist())
-    sign = ((bs < 0).astype(np.int64) - (bs > 0)) * ((b2 > 0) - (b2 < 0))
-    offset = int(b2 < 0) - (bs < 0).astype(np.int64)
+    sign = ((bs < 0).astype(np.int64) - (bs > 0)) * ((b2 > 0).astype(np.int64) - (b2 < 0))
+    offset = (b2 < 0).astype(np.int64) - (bs < 0)
 
     def gap_after(x):  # the gap on (x, x + 1), x a grid point
         return x // fine + sign * (x // coarse) + offset
 
-    # pairs of one sign or with a zero slope come first in the row
-    rising = int(np.count_nonzero(sign <= 0))
+    opposite = sign > 0  # gap weights read in the walk, not from least and most
     i0, i1 = nlo // coarse, (nhi - 1) // coarse  # the first and last cell of each pair
     least = np.minimum(gap_after(nlo), gap_after(np.minimum(i0 * coarse + coarse, nhi - 1)))
     most = np.maximum(gap_after(nhi - 1), gap_after(np.maximum(i1 * coarse - 1, nlo)))
     top = np.searchsorted(values, most, side="right")
-    weight = sum((below[top] - below[np.searchsorted(values, least)])[:rising].tolist())
+    spans = below[top] - below[np.searchsorted(values, least)]
+    weight = sum(spans[~opposite].tolist())
     by_diff = (sign < 0) & (m_fine < 2 * m_coarse)  # walked on difference cells
     # before the coarse walk, whose last chunk's arrays outlive its loop
     dgrids, dnums = _difference_cells(
         m_fine[by_diff], m_coarse[by_diff], lo, hi, den, values, counts
     )
     ncell = np.where(by_diff, 0, i1 - i0 + 1).astype(np.int64)
-    skip = int(ncell[:rising].sum())  # cells before those of opposite signs
     num = np.zeros(len(bs), dtype=bs.dtype)
-    for x, p, i in _cells(i0, ncell):
+    for p, i in _cells(i0, ncell):
         f, c = fine[p], coarse[p]
         cut = i * c
         left = np.maximum(cut, nlo[p])
@@ -440,9 +448,9 @@ def _slope_row(b2, bs, lo, hi, den, values, counts, below):
         # with g1 == g2 the last term takes back the overlap of the two ends
         cell = n1 * ((kl + 1) * f - left) + n2 * (right - kr * f) + f * (s2 - s1 - n1)
         _add_per_pair(num, p, cell)
-        o = max(skip - int(x[0]), 0)
-        if o < len(x):
-            weight += int((s2[o:] + n2[o:] - s1[o:]).sum())
+        mask = opposite[p]
+        if mask.any():
+            weight += int((s2 - s1 + n2)[mask].sum())
 
     return np.concatenate((grid, dgrids)), np.concatenate((num, dnums)), weight, breakpoints
 
@@ -453,24 +461,27 @@ def delta_exact(
     """Integrate the ordered collision count over the lambda window.
 
     The diagonal z == z' gives |E||F| times the window measure.  Route
-    one adds twice the measure of every slope pair b' < b of F, walked
-    one row (fixed b') at a time, in chunks of _DELTA_CHUNK cells
-    (_slope_row).  A pair's cells are those of its smaller slope, or,
-    for two slopes of one sign that differ by d less than the smaller,
-    those of slope d.  On the integer grid lcm(|b|, |b'|, window
-    denominators) the breakpoints of lam*b and lam*b' are the multiples
-    of grid/|b| and grid/|b'|.  Inside a cell of the smaller slope the
-    floor gap g = floor(lam*b) - floor(lam*b') rises by one at each cut
-    of the larger, so a cell's measure on each gap comes from its two
-    end pieces and a prefix sum over the histogram of the differences
-    a' - a in [0, gap_bound], the band every gap lies in
-    (_band_histogram): one searchsorted per cell end, none per piece.
-    Inside a cell k of slope d the gap is k or k + 1, and the measure of
-    k + 1 has a closed form in the floors of lam*b and lam*b' at the
-    cell's ends: one searchsorted per cell.  Cell numerators are summed
-    per pair (int64 when a bound on every product, taken from F, |E| and
-    the window, is below 2**62, object dtype otherwise), grouped by grid
-    and added as Fractions.
+    one adds twice the measure of every slope pair b' < b of F.  The
+    pairs are taken in groups of whole rows (fixed b'), a group adding
+    rows while it holds at most _DELTA_CHUNK pairs, and each group is
+    walked in chunks of _DELTA_CHUNK cells (_slope_pairs).  A pair's
+    cells are those of its smaller slope, or, for two slopes of one sign
+    that differ by d less than the smaller, those of slope d.  On the
+    integer grid lcm(|b|, |b'|, window denominators) the breakpoints of
+    lam*b and lam*b' are the multiples of grid/|b| and grid/|b'|.
+    Inside a cell of the smaller slope the floor gap g = floor(lam*b) -
+    floor(lam*b') rises by one at each cut of the larger, so a cell's
+    measure on each gap comes from its two end pieces and a prefix sum
+    over the histogram of the differences a' - a in [0, gap_bound], the
+    band every gap lies in (_band_histogram): one searchsorted per cell
+    end, none per piece.  Inside a cell k of slope d the gap is k or
+    k + 1, and the measure of k + 1 has a closed form in the floors of
+    lam*b and lam*b' at the cell's ends: one searchsorted per cell.
+    Cell numerators are summed per pair (int64 when a bound on every
+    product, taken from F, |E| and the window, is below 2**62, object
+    dtype otherwise), added in Python ints per distinct grid after one
+    sort by grid per group, and divided by their grids over one common
+    denominator.
 
     Route two, _delta_quadrature, integrates the collision energy
     across every breakpoint of lam*F on its own histogram of
@@ -514,21 +525,25 @@ def delta_exact(
         # and k*f + f at most nhi = hi*grid plus a step.  A cell's three
         # terms are each at most |E| steps, so their sum stays below
         # 1.5 * 2**62; prefix sums count at most |E|(|E| + 1)/2 differences
-        # a' - a >= 0, and a chunk adds the gap weights of fewer than |F|
-        # pairs.  Difference cells of slopes S < B, d = B - S < S (so
-        # 2d + 1 <= B <= bmax and B >= 3): the grid g = lcm(d, den) is at
-        # most d*den, the shifted ends 0 <= x < y <= g, so B*y < bmax**2*den,
-        # and the counts C(k), C(k + 1) and their difference are at most |E|.
+        # a' - a >= 0.  A chunk may hold cells of pairs from several rows,
+        # and adds the gap weights of those of opposite signs, at most
+        # |F|**2/4 pairs, whose distinct cells hit distinct gaps: at most
+        # |E|(|E| + 1)/2 per pair over all its chunks.  Difference cells of
+        # slopes S < B, d = B - S < S (so 2d + 1 <= B <= bmax and B >= 3):
+        # the grid g = lcm(d, den) is at most d*den, the shifted ends
+        # 0 <= x < y <= g, so B*y < bmax**2*den, and the counts C(k),
+        # C(k + 1) and their difference are at most |E|.
         # With K = 2*max(hi, 1)*bmax**2*den*|E|, the product bounded below,
         # a pair's terms on grid g add up to at most
         # |E|*g*((2d + 1)*(hi - lo) + 4) < 0.6*K over its at most
         # d*(hi - lo) + 2 cells (|c_B - c_S| <= 2 and y <= g), and on grid 2B
         # to at most 2*|E|*B*(B*(hi - lo) + 1) < 1.4*K, as n_B(x) + n_B(y)
         # + 1 <= 2B and B has at most B*(hi - lo) + 1 cuts; so do 2S's.
+        # The numerators of different pairs are added in Python ints.
         n = len(E)
         fits = (
             2 * max(hi, 1) * bmax**2 * den * n < _INT64_LIMIT
-            and len(fvals) * n * (n + 1) // 2 < _INT64_LIMIT
+            and len(fvals) ** 2 // 4 * (n * (n + 1) // 2) < _INT64_LIMIT
         )
         dtype = np.int64 if fits else object
         values, counts = _band_histogram(E._array(), gap_bound)
@@ -537,33 +552,23 @@ def delta_exact(
         below = np.cumsum(counts) - counts
         f = np.array(fvals, dtype=dtype)
         by_grid: dict[int, int] = {}
-        for i in range(len(fvals) - 1):
-            grids, nums, weight, cuts = _slope_row(
-                fvals[i], f[i + 1 :], lo, hi, den, values, counts, below
+        # row i holds the pairs (f[i], f[j]), j > i
+        for rows, t in _row_groups(np.arange(len(fvals) - 1, 0, -1), _DELTA_CHUNK):
+            grids, nums, weight, cuts = _slope_pairs(
+                f[rows], f[rows + 1 + t], lo, hi, den, values, counts, below
             )
             positive += 2 * weight
             breakpoints += cuts
-            for g, n in zip(grids.tolist(), nums.tolist()):
+            order = np.argsort(grids)
+            grids, nums = grids[order], nums[order].astype(object)
+            at = np.flatnonzero(np.diff(grids, prepend=0))  # grids are positive
+            for g, n in zip(grids[at].tolist(), np.add.reduceat(nums, at).tolist()):
                 if n:
                     by_grid[g] = by_grid.get(g, 0) + n
-        total += 2 * sum((Fraction(n, g) for g, n in by_grid.items()), Fraction(0))
+        common = math.lcm(*by_grid)  # one division per grid, not a Fraction sum
+        total += 2 * Fraction(sum(n * (common // g) for g, n in by_grid.items()), common)
     quad = _delta_quadrature(E, F, window)
     return DeltaReport(window, total, quad, positive, breakpoints)
-
-
-def _radix_order(keys: np.ndarray, bound: int) -> np.ndarray:
-    """Stable argsort of int64 keys in [0, bound), 16 bits per pass.
-
-    numpy sorts 16-bit keys stably by radix sort, in linear time; least
-    significant digit first, each pass keeps the order of the last.
-    """
-    order = np.argsort(keys.astype(np.uint16), kind="stable")  # wraps to the low bits
-    shift = 16
-    while bound > 1 << shift:
-        digit = (keys[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
-        shift += 16
-    return order
 
 
 def _quad_events(cur: np.ndarray, hist: np.ndarray, owner: np.ndarray, steps) -> np.ndarray:
@@ -593,42 +598,50 @@ def _quad_blocks(
 
     Event e moves row owner[e] from offset rank[e]*step to (rank[e] + 1)*step,
     so a row may fire more than once in a block.  A member is one event's
-    old row (-1) or new row (+1), in event order.  The value a member sees
-    at a counter is the block-start histogram there plus the signs of the
-    earlier members at that counter, so one gather, one stable radix sort
-    by counter, a cumsum per run of equal counters and one scatter of the
-    run totals update hist and give every event's dN.  Updates hist.
+    old row (side 0, sign -1) or new row (side 1, sign +1).  The value a
+    member sees at a counter is the block-start histogram there plus the
+    signs of the earlier members at that counter, earlier in event order
+    and old before new.  Each member is one unique unsigned key,
+    counter << t | event_in_block << 1 | side, so one sort of the keys
+    gives that order exactly, and counter, sign and event are read back
+    from the sorted keys; a cumsum per run of equal counters and one
+    scatter of the run totals update hist, and one unbuffered add per
+    block sums what each event's sides see.  Updates hist.
     """
     n_e = cur.shape[1]
-    step = np.array(steps, dtype=np.int64)[owner]
-    offset = rank * step
-    sign = np.ones((min(_QUAD_BLOCK, len(owner)), 2, n_e), dtype=np.int64)
-    sign[:, 0] = -1
-    sign = sign.ravel()
+    t = (2 * _QUAD_BLOCK - 1).bit_length()
+    ktype = np.uint32 if size < 1 << (32 - t) else np.uint64
+    tags = np.arange(2 * min(_QUAD_BLOCK, len(owner)), dtype=ktype).reshape(-1, 2, 1)
+    steps = np.array(steps, dtype=np.int64)
     dn = np.empty(len(owner), dtype=np.int64)
     for s in range(0, len(owner), _QUAD_BLOCK):
         rows = owner[s : s + _QUAD_BLOCK]
         n = len(rows)
-        pos = np.empty((n, 2, n_e), dtype=np.int64)
-        np.add(cur[rows], offset[s : s + n, None], out=pos[:, 0])
-        np.add(pos[:, 0], step[s : s + n, None], out=pos[:, 1])
-        pos = pos.ravel()
-        by_pos = _radix_order(pos, size)
-        at_pos, signs = pos[by_pos], sign[: len(pos)][by_pos]
-        run = np.empty(len(pos), dtype=bool)
+        step = steps[rows]
+        old = cur[rows] + (rank[s : s + n] * step)[:, None]
+        keys = np.empty((n, 2, n_e), dtype=ktype)
+        np.left_shift(old, t, out=keys[:, 0], casting="unsafe")
+        np.left_shift(old + step[:, None], t, out=keys[:, 1], casting="unsafe")
+        keys |= tags[:n]
+        keys = keys.ravel()
+        keys.sort()
+        counter = keys >> t
+        tag = (keys & ((1 << t) - 1)).astype(np.int64)  # event_in_block << 1 | side
+        signs = 2 * (tag & 1) - 1
+        run = np.empty(len(keys), dtype=bool)
         run[0] = True
-        np.not_equal(at_pos[1:], at_pos[:-1], out=run[1:])
+        np.not_equal(counter[1:], counter[:-1], out=run[1:])
         run_at = np.flatnonzero(run)
-        run_end = np.append(run_at[1:], len(pos))
+        run_end = np.append(run_at[1:], len(keys))
         tally = np.cumsum(signs)  # signed members up to here, through every run
         before = tally - signs
-        counter = at_pos[run_at]
+        at = counter[run_at]
         # a member sees the block-start count plus the signs before it in its run
-        base = hist[counter] - before[run_at]
-        hist[counter] = base + tally[run_end - 1]
-        seen = np.empty(len(pos), dtype=np.int64)
-        seen[by_pos] = before + np.repeat(base, run_end - run_at)
-        sums = seen.reshape(n, 2, n_e).sum(axis=2)
+        base = hist[at] - before[run_at]
+        hist[at] = base + tally[run_end - 1]
+        sums = np.zeros(2 * n, dtype=np.int64)
+        np.add.at(sums, tag, before + np.repeat(base, run_end - run_at))
+        sums = sums.reshape(n, 2)
         dn[s : s + n] = 2 * (sums[:, 1] - sums[:, 0]) + 2 * n_e
     return dn
 
@@ -651,8 +664,8 @@ def _delta_quadrature(E: IntegerSet, F: IntegerSet, window: LambdaWindow) -> Fra
     changes N by 2*(sum h_new - sum h_old) + 2|E|.
 
     Rows of up to _QUAD_ROWS counters are applied _QUAD_BLOCK events at a
-    time by one radix sort per block (_quad_blocks): on short rows numpy's
-    per-call cost dominates a per-event update.  Longer rows are applied
+    time by one sort of packed keys per block (_quad_blocks): on short
+    rows numpy's per-call cost dominates a per-event update.  Longer rows are applied
     one event at a time (_quad_events): there the block's sort and
     gathers over 2*_QUAD_BLOCK*|E| members cost more than the calls they
     save, and its arrays would grow with |E|.

@@ -305,6 +305,8 @@ _INT64_HI = ((1 << 62) - 1) // 48
 @example([0, 1, 4, 9], [-9, -7], False, 0, 0, Fr(2, 3), Fr(7, 4))
 # a zero slope beside the difference pair (5, 6)
 @example([0, 2, 5, 11], [5, 6], True, 0, 0, Fr(1, 4), Fr(9, 4))
+# one chunk of route one holds several rows of mixed signs
+@example([0, 2, 3, 7, 12], [-5, -2, 0, 3, 7], False, 0, 0, Fr(1, 3), Fr(5, 2))
 def test_delta_routes_match_oracle(xs, ys, zero, shift, far, lo, width):
     # E + 10**30 leaves int64.  far = 10**15 puts the window where the
     # float keys k/|b| of distinct events tie, and makes E span far so that
@@ -341,13 +343,13 @@ def test_delta_routes_match_oracle(xs, ys, zero, shift, far, lo, width):
 @pytest.mark.parametrize("far, dtype", [(_INT64_HI - 2, np.int64), (_INT64_HI - 1, object)])
 def test_delta_exact_int64_boundary(monkeypatch, far, dtype):
     seen = []
-    slope_row = marstrand._slope_row
+    slope_pairs = marstrand._slope_pairs
 
     def spy(*args):
         seen.append(args[-1].dtype)
-        return slope_row(*args)
+        return slope_pairs(*args)
 
-    monkeypatch.setattr(marstrand, "_slope_row", spy)
+    monkeypatch.setattr(marstrand, "_slope_pairs", spy)
     E = IntegerSet([x + d for x in (0, 1, 2) for d in (0, far)], "e")
     rep = delta_exact(E, IntegerSet([1, 2], "f"), LambdaWindow(far + 1, far + 2))
     assert seen == [np.dtype(dtype)]
@@ -367,8 +369,8 @@ def test_slope_row_walks_cells_not_fine_intervals(dtype):
     values = np.append(values.astype(dtype), gap_bound + 1)
     counts = np.append(counts.astype(dtype), 0)
     below = np.cumsum(counts) - counts
-    bs = np.array([10**7], dtype=dtype)
-    grids, nums, weight, cuts = marstrand._slope_row(1, bs, lo, hi, 2, values, counts, below)
+    b2, bs = np.array([1], dtype=dtype), np.array([10**7], dtype=dtype)
+    grids, nums, weight, cuts = marstrand._slope_pairs(b2, bs, lo, hi, 2, values, counts, below)
     assert (grids.tolist(), nums.tolist(), weight) == ([10**7], [3], 2)
     # the fine cuts strictly inside, the coarse cut at 1 among them
     assert cuts == 10**7 - 1
@@ -401,8 +403,8 @@ def test_slope_row_walks_difference_cells(monkeypatch, dtype):
     values = np.append(values.astype(dtype), gap_bound + 1)
     counts = np.append(counts.astype(dtype), 0)
     below = np.cumsum(counts) - counts
-    bs = np.array([N + 1], dtype=dtype)
-    grids, nums, weight, cuts = marstrand._slope_row(N, bs, lo, hi, 2, values, counts, below)
+    b2, bs = np.array([N], dtype=dtype), np.array([N + 1], dtype=dtype)
+    grids, nums, weight, cuts = marstrand._slope_pairs(b2, bs, lo, hi, 2, values, counts, below)
     assert walked == [2, 0]  # two difference cells, no coarse cell
     assert nums.dtype == np.dtype(dtype)
     measure = sum((Fr(int(n), int(g)) for g, n in zip(grids, nums)), Fr(0))
@@ -454,13 +456,33 @@ def test_delta_quadrature_blocks_on_heavy_collisions(monkeypatch, block, rows):
     assert marstrand._delta_quadrature(E, F, w) == rep.exact_value
 
 
-@pytest.mark.parametrize("bound", [1, 2**16, 2**16 + 1, 2**32 + 1, 2**40])
-def test_radix_order_is_a_stable_argsort(bound):
-    rng = np.random.default_rng(bound)
-    keys = rng.integers(0, bound, 5000)
-    keys[::7] = keys[0]  # ties keep their order
-    order = marstrand._radix_order(keys, bound)
-    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+@pytest.mark.parametrize("block", [1, 2, 3, 128, 2**23])
+def test_quad_blocks_match_quad_events(monkeypatch, block):
+    # negative slopes, a zero slope, and slopes +-40 that fire 40 times
+    # between two events of slope 1, so a row fires several times per block.
+    # The keys are unsigned 32-bit while the counters fit in 32 - t bits, t
+    # the bits of 2*_QUAD_BLOCK - 1: _QUAD_BLOCK = 2**23 gives t = 24, and
+    # this histogram of more than 2**8 counters takes 64-bit keys
+    E = IntegerSet([0, 1, 3, 7, 20, 21], "e")
+    F = IntegerSet([-40, -3, 0, 1, 2, 40], "f")
+    runs = []
+    blocks = marstrand._quad_blocks
+
+    def spy(cur, hist, owner, rank, steps, size):
+        t = (2 * block - 1).bit_length()
+        runs.append((size >= 1 << (32 - t), len(owner)))
+        cur2, hist2 = cur.copy(), hist.copy()
+        dn = blocks(cur, hist, owner, rank, steps, size)
+        assert np.array_equal(dn, marstrand._quad_events(cur2, hist2, owner, steps))
+        assert np.array_equal(hist, hist2)
+        return dn
+
+    monkeypatch.setattr(marstrand, "_QUAD_BLOCK", block)
+    monkeypatch.setattr(marstrand, "_quad_blocks", spy)
+    w = LambdaWindow(Fr(1, 2), Fr(3))
+    assert marstrand._delta_quadrature(E, F, w) == oracle_delta(E, F, w)[0]
+    # events k/|b| inside the window: 99 for each of +-40, 7, 2 and 4 for 3, 1 and 2
+    assert runs == [(block == 2**23, 2 * 99 + 7 + 2 + 4)]
 
 
 def test_delta_exact_calls_quadrature_through_module_global(monkeypatch):
