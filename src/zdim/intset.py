@@ -21,7 +21,6 @@ reads any body it refuses and raises every format error.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -273,10 +272,9 @@ def _parse_lines(fh) -> tuple[np.ndarray, str]:
     return _int_array(elements), provenance
 
 
-def _load_body(source, skip: int) -> Optional[np.ndarray]:
-    """The elements after the first skip lines of source, parsed by numpy, or None.
+def _load_body(path: str, skip: int) -> Optional[np.ndarray]:
+    """The elements after the first skip lines, parsed by numpy, or None.
 
-    source is the file's path, or the file open at its start.
     Only a body of one int64 per line, increasing strictly, is taken;
     None sends the file to the line loop.  With comments=None a "#"
     anywhere in the body fails the parse.  Any warning counts as a
@@ -287,7 +285,7 @@ def _load_body(source, skip: int) -> Optional[np.ndarray]:
         warnings.simplefilter("error")
         try:
             xs = np.loadtxt(
-                source, dtype=np.int64, comments=None, skiprows=skip, ndmin=2,
+                path, dtype=np.int64, comments=None, skiprows=skip, ndmin=2,
                 encoding="utf-8-sig",
             )
         except (ValueError, Warning):
@@ -309,8 +307,7 @@ def read_zset(path: str) -> IntegerSet:
     number.
 
     The header and the comment and blank lines above the first element
-    are read here; np.loadtxt parses the rest in C, from the open file
-    when it is small and from the path otherwise.  A body it refuses
+    are read here; np.loadtxt parses the rest in C.  A body it refuses
     (a comment, a bad token, two tokens on a line, a value beyond int64,
     elements out of order) is read again by the line loop, which raises
     every format error and builds the big-integer arrays.
@@ -328,15 +325,7 @@ def read_zset(path: str) -> IntegerSet:
             skip += 1
         else:  # no element line, so loadtxt would warn of no data
             return IntegerSet.from_sorted_array(np.empty(0, dtype=np.int64), provenance)
-        # numpy opens a path through a DataSource, some 30 us a call, and
-        # then reads it in chunks; an open file it reads line by line, which
-        # costs more than the DataSource from about 500 lines (4 KiB) on
-        small = os.fstat(fh.fileno()).st_size <= 4096
-        if small:
-            fh.seek(0)
-            xs = _load_body(fh, skip)
-    if not small:
-        xs = _load_body(path, skip)
+    xs = _load_body(path, skip)
     if xs is None:
         with open(path, "r", encoding="utf-8-sig") as fh:
             fh.readline()

@@ -46,7 +46,7 @@ from .intset import _INT64_LIMIT, IntegerSet, Interval
 from .measures import ScanSchedule, dimension_estimate
 
 _OBJECT_GRID_PAIRS = 4_000_000  # largest grid histogrammed on Python ints
-_DELTA_CHUNK = 4096  # coarse cells per chunk of the route-one walk
+_DELTA_CHUNK = 4096  # route one: cells per chunk, and slope pairs per row group
 _BAND_CHUNK = 1 << 22  # differences made at once by _band_histogram
 _QUAD_BLOCK = 128  # events applied at once by _delta_quadrature's block update
 _QUAD_ROWS = 128  # longer rows go one event at a time (_quad_events)
