@@ -10,17 +10,19 @@ grid ``a + floor(lam*b)`` over ``E x F``: the distinct values in
 increasing order and the number of grid points on each.  ``sumset`` and
 ``sum_scaled`` are its values; ``marstrand.collision_stats``, which
 ``marstrand.sweep`` and ``zdim collide`` go through, keeps both arrays.
-The route is chosen from the value span and the pair count alone, and
-both routes keep their working memory within one byte budget,
-``_BYTE_BUDGET``:
+The route is chosen from the value span and the pair count alone:
 
 - dense accumulation, when the value span is at most the number of
-  pairs and its counters fit the budget: for each element ``shift`` of
-  the shorter of E and the distinct floors of lam*F, the longer one is
-  added by an unbuffered ``np.add.at`` into the counters from ``shift``
-  on;
+  pairs: for each element ``shift`` of the shorter of E and the distinct
+  floors of lam*F, the longer one is added by an unbuffered ``np.add.at``
+  into the counters from ``shift`` on;
 - sorted outer sum: outer sums sorted and counted run by run, in chunks
-  of the budget that a stable sort merges when the grid is larger.
+  of what the result leaves of the budget, merged by a stable sort.
+
+Each route states its whole peak, working memory and result, to
+``_refuse_over_budget``, the one check against the byte budget
+``_BYTE_BUDGET`` (delta_exact's events use it too), which refuses with
+SizeGuardError before a grid-sized array exists.
 
 The dtype only picks the array type.  E and the floors of lam*F are
 int64 arrays, or object arrays of Python ints when they leave int64, and
@@ -51,7 +53,7 @@ import numpy as np
 from .intset import _INT64_LIMIT, IntegerSet, _run_starts
 
 _BYTE_BUDGET = 150_000_000  # working memory of one array route, in bytes
-_SORT_PAIR_BYTES = 40  # array slots per pair: sums, run mask, order and gathered copies
+_SORT_PAIR_BYTES = 40  # per pair of a chunk's sort, counts aside: sums, order, gathered, runs
 _ENERGY_CHUNK = 1 << 16  # counts squared per int64 copy in grid_energy
 
 
@@ -78,7 +80,8 @@ def _runs(vals: np.ndarray, weights: Optional[np.ndarray] = None):
     idx = np.flatnonzero(_run_starts(vals))
     if weights is None:
         return vals[idx], np.diff(idx, append=len(vals))
-    return vals[idx], np.add.reduceat(weights, idx)
+    # in the weights' dtype: reduceat would widen small unsigned ones
+    return vals[idx], np.add.reduceat(weights, idx, dtype=weights.dtype)
 
 
 def _sorted_runs(vals: np.ndarray, weights: Optional[np.ndarray] = None):
@@ -112,15 +115,11 @@ def _floors(F: IntegerSet, p: int, q: int):
     return uf, (None if len(uf) == len(xf) else mult)
 
 
-def grid_in_int64(E: IntegerSet, F: IntegerSet, lam) -> bool:
-    """True when E and the floors of lam*F, grid_histogram's operands, are
-    nonempty int64 arrays (not object dtype)."""
-    return (
-        len(E) > 0
-        and len(F) > 0
-        and E._array().dtype != object
-        and _scales_in_int64(F._array(), Fraction(lam).numerator)
-    )
+def _refuse_over_budget(what: str, count: int, unit: str, unit_bytes: int, hint: str) -> None:
+    """Raise SizeGuardError when count units of unit_bytes bytes pass _BYTE_BUDGET."""
+    need = count * unit_bytes
+    if need > _BYTE_BUDGET:
+        raise SizeGuardError(f"{what} ({count} {unit}, {need} bytes > {_BYTE_BUDGET}), {hint}")
 
 
 def _dense_histogram(xe, uf, mult, span, cdtype):
@@ -142,16 +141,18 @@ def _dense_histogram(xe, uf, mult, span, cdtype):
     return nz, acc[nz]
 
 
-def _sorted_histogram(xe, uf, mult, cdtype):
+def _sorted_histogram(xe, uf, mult, cdtype, extra):
     # rows from the longer array, so that a chunk of rows fits the budget
     rows, cols = (xe, uf) if len(xe) >= len(uf) else (uf, xe)
-    pair_bytes = _SORT_PAIR_BYTES
-    if rows.dtype == object or cols.dtype == object:
-        # each sum is also a new Python int, held in 16-byte blocks; the
-        # largest sum is at an end of the grid
-        int_bytes = max(sys.getsizeof(int(rows[k]) + int(cols[k])) for k in (0, -1))
-        pair_bytes += -(-int_bytes // 16) * 16
-    step = max(1, _BYTE_BUDGET // pair_bytes // len(cols))
+    pairs, c = len(rows) * len(cols), cdtype.itemsize
+    # one sort of at most an entry (value and count) per pair, in one chunk
+    # or merging the parts, bounds the route: three copies of each entry
+    # (parts, sorted gather, runs), the order and the run starts
+    per = 3 * (8 + c) + 16 + extra
+    _refuse_over_budget("grid histogram too large", pairs, "pairs", per, "restrict windows")
+    # the chunks take what the parts, one entry per pair, leave
+    left = _BYTE_BUDGET - pairs * (8 + c + extra)
+    step = max(1, left // (_SORT_PAIR_BYTES + 3 * c + extra) // len(cols))
     parts = []
     for i in range(0, len(rows), step):
         vals = (rows[i : i + step, None] + cols[None, :]).ravel()
@@ -167,7 +168,7 @@ def _sorted_histogram(xe, uf, mult, cdtype):
     if len(parts) == 1:
         return parts[0]
     values = np.concatenate([v for v, _ in parts])
-    counts = np.concatenate([c for _, c in parts])
+    counts = np.concatenate([n for _, n in parts])
     del parts
     return _sorted_runs(values, counts)
 
@@ -179,8 +180,7 @@ def grid_histogram(E: IntegerSet, F: IntegerSet, lam) -> tuple[np.ndarray, np.nd
     object dtype when E or the floors leave int64); counts[i] is the number of pairs (a, b)
     landing on values[i], in the smallest unsigned dtype holding |F|.
     The route (dense or sorted) depends on the span and the pair count
-    only; see the module docstring.  No size guard: callers check the
-    grid size.
+    only, and refuses a grid over the byte budget; see the module docstring.
     """
     lam = _positive(lam)
     if len(E) == 0 or len(F) == 0:
@@ -193,17 +193,23 @@ def grid_histogram(E: IntegerSet, F: IntegerSet, lam) -> tuple[np.ndarray, np.nd
         mult = mult.astype(cdtype)  # multiplicities are at most |F| too
     lo = int(xe[0]) + int(uf[0])
     span = int(xe[-1]) + int(uf[-1]) - lo + 1
+    dtype = np.result_type(xe, uf)  # of the values: object when an operand is
+    # an object value adds a pointer and its Python int, in 16-byte blocks
+    int_bytes = max(sys.getsizeof(lo), sys.getsizeof(lo + span - 1))  # largest at an end
+    extra = 0 if dtype != object else 8 + -(-int_bytes // 16) * 16
     if span >= _INT64_LIMIT:
         # sums of int64 operands stay in int64; object ones stay Python ints
-        return _sorted_histogram(xe, uf, mult, cdtype)
-    dtype = np.result_type(xe, uf)  # of the values: object when an operand is
+        return _sorted_histogram(xe, uf, mult, cdtype, extra)
     # relative to their first elements, operands and sums lie in [0, span)
     xe = (xe - xe[0]).astype(np.int64, copy=False)
     uf = (uf - uf[0]).astype(np.int64, copy=False)
-    if span <= len(xe) * len(uf) and span * cdtype.itemsize <= _BYTE_BUDGET:
+    if span <= len(xe) * len(uf):
+        # the counters, then at most span nonzero indices, counts and values
+        per = 8 + 2 * cdtype.itemsize + extra
+        _refuse_over_budget("grid histogram too large", span, "counters", per, "restrict windows")
         values, counts = _dense_histogram(xe, uf, mult, span, cdtype)
     else:
-        values, counts = _sorted_histogram(xe, uf, mult, cdtype)
+        values, counts = _sorted_histogram(xe, uf, mult, cdtype, extra)
     # values is the route's own array (no operand's): shift it in place
     values = values.astype(dtype, copy=False)
     values += lo
@@ -241,13 +247,13 @@ def floor_scale(E: IntegerSet, lam) -> IntegerSet:
 def sumset(E: IntegerSet, F: IntegerSet, max_pairs: int = 100_000_000) -> IntegerSet:
     """{a + b : a in E, b in F}, deduplicated: the values of grid_histogram(E, F, 1).
 
-    Refuses products above max_pairs.
+    Refuses products above max_pairs, then grids over the byte budget.
     """
     if len(E) == 0 or len(F) == 0:
         raise ValueError("sumset needs nonempty sets")
     if len(E) * len(F) > max_pairs:
         raise SizeGuardError(
-            f"sumset too large, restrict windows ({len(E)} x {len(F)} pairs)"
+            f"sumset too large, restrict windows ({len(E)} x {len(F)} pairs > {max_pairs})"
         )
     values, _ = grid_histogram(E, F, 1)
     return IntegerSet.from_sorted_array(

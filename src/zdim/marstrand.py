@@ -33,19 +33,17 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import arithmetic
 from .arithmetic import (
     SizeGuardError,
+    _refuse_over_budget,
     _sorted_runs,
     grid_energy,
     grid_histogram,
-    grid_in_int64,
     sum_scaled,
 )
 from .intset import _INT64_LIMIT, IntegerSet, Interval
 from .measures import ScanSchedule, dimension_estimate
 
-_OBJECT_GRID_PAIRS = 4_000_000  # largest grid histogrammed on Python ints
 _DELTA_CHUNK = 4096  # route one: cells per chunk, and slope pairs per row group
 _BAND_CHUNK = 1 << 22  # differences made at once by _band_histogram
 _QUAD_BLOCK = 128  # events applied at once by _delta_quadrature's block update
@@ -203,6 +201,7 @@ def collision_stats(
     energy counts ordered colliding pairs; Cauchy-Schwarz gives
     distinct_count >= total**2 / energy, recorded exactly as cs_bound.
     sweep and ``zdim collide`` read their histograms from this report.
+    Refuses grids above max_pairs, and grid_histogram those over the byte budget.
     """
     lam = Fraction(lam)
     if lam <= 0:
@@ -212,11 +211,7 @@ def collision_stats(
     pairs = len(E) * len(F)
     if pairs > max_pairs:
         raise SizeGuardError(
-            f"collision grid too large ({pairs} pairs), restrict windows"
-        )
-    if pairs > _OBJECT_GRID_PAIRS and not grid_in_int64(E, F, lam):
-        raise SizeGuardError(
-            "collision grid needs big-integer handling at this size, "
+            f"collision grid too large ({pairs} pairs), over max_pairs {max_pairs}: "
             "restrict windows"
         )
     values, counts = grid_histogram(E, F, lam)
@@ -490,9 +485,9 @@ def delta_exact(
     measure and breakpoint_count the inner cuts of route one, counted
     per pair in closed form.
 
-    Route two holds arrays of one entry per breakpoint event k/|b|, so
-    a window with more events than _BYTE_BUDGET allows is refused with
-    SizeGuardError before either route allocates.
+    Route two holds arrays of one entry per breakpoint event k/|b| and
+    |E| counters per event, so a window whose events pass the byte budget
+    at 64 + 8|E| bytes each is refused before either route allocates.
     """
     if len(E) == 0 or len(F) == 0:
         raise ValueError("empty set")
@@ -504,15 +499,13 @@ def delta_exact(
         )
     lo, hi = window.lo, window.hi
     fvals = F.elements
-    # at most eight 8-byte entries per event are alive at once in route
-    # two: owner, rank, k, its float key, the sort order, then dN and the
-    # two factors of k*dN
+    # Route two keeps at most eight 8-byte entries per event alive (owner,
+    # rank, k, its float key, the order, then dN and the factors of k*dN)
+    # and an int64 counter per value a + floor(lam*b): |E| per event of b,
+    # one more for each of the |E||F| pairs, which max_pairs bounds
     events = sum(math.ceil(hi * m) - math.floor(lo * m) - 1 for m in map(abs, fvals) if m)
-    if 64 * events > arithmetic._BYTE_BUDGET:
-        raise SizeGuardError(
-            f"delta window too wide ({events} breakpoint events, {64 * events} bytes "
-            f"> {arithmetic._BYTE_BUDGET}), narrow the lambda window"
-        )
+    per, hint = 64 + 8 * len(E), "narrow the lambda window"
+    _refuse_over_budget("delta window too wide", events, "breakpoint events", per, hint)
     total = Fraction(pairs) * window.measure  # z == z' diagonal
     positive = pairs
     breakpoints = 0

@@ -65,22 +65,28 @@ def _dict_histogram(E, F, lam):
 
 
 @contextmanager
-def _routes_taken(budget=None):
-    """Record which engine routes run, optionally under a smaller byte budget."""
-    taken = []
+def _routes_taken(pair_bytes=None):
+    """Record which engine routes run and how many sorts the sorted route
+    makes, optionally with its chunks sized for pair_bytes per pair."""
+    taken = SimpleNamespace(routes=[], sorts=0)
     saved = {name: getattr(arith, name) for name in
-             ("_BYTE_BUDGET", "_dense_histogram", "_sorted_histogram")}
+             ("_SORT_PAIR_BYTES", "_dense_histogram", "_sorted_histogram", "_sorted_runs")}
 
     def spy(name):
         def wrapper(*args):
-            taken.append(name)
+            taken.routes.append(name)
             return saved[name](*args)
         return wrapper
 
+    def count_sort(*args):
+        taken.sorts += 1
+        return saved["_sorted_runs"](*args)
+
     arith._dense_histogram = spy("_dense_histogram")
     arith._sorted_histogram = spy("_sorted_histogram")
-    if budget is not None:
-        arith._BYTE_BUDGET = budget
+    arith._sorted_runs = count_sort
+    if pair_bytes is not None:
+        arith._SORT_PAIR_BYTES = pair_bytes
     try:
         yield taken
     finally:
@@ -88,8 +94,24 @@ def _routes_taken(budget=None):
             setattr(arith, name, value)
 
 
+def _chunk_pair_bytes(rows, E, F, lam):
+    """A _SORT_PAIR_BYTES that cuts the sorted route of E x floor(lam*F)
+    into chunks of the given number of rows, within the default budget:
+    each row of the shorter operand then takes about 2/(2 rows + 1) of it."""
+    cols = min(len(E), len(floor_scale(F, lam)))
+    return 2 * arith._BYTE_BUDGET // ((2 * rows + 1) * cols)
+
+
+def _sorts(rows, E, F, lam):
+    """Sorts of the sorted route in chunks of rows rows: one per chunk and
+    the merge of the parts when there are several."""
+    chunks = -(-max(len(E), len(floor_scale(F, lam))) // rows)
+    return chunks + (chunks > 1)
+
+
 def test_sumset_routes_agree():
-    # force each engine route and compare it to the dict oracle
+    # force each engine route and compare it to the dict oracle; chunks
+    # are forced by a larger sort cost per pair, not a smaller budget
     dense = (IntegerSet(range(0, 900, 7), "e7"), IntegerSet(range(0, 500, 3), "f3"))
     sparse = (IntegerSet(range(0, 9_000_000, 70_001), "e"), dense[1])
     big = (dense[0].shift(10**40), dense[1])
@@ -97,28 +119,46 @@ def test_sumset_routes_agree():
     wide = (IntegerSet(range(0, 40 * 10**20, 10**20), "wide"), dense[1])
     cases = [
         (dense, None, ["_dense_histogram"]),  # span below the pair count
-        (dense, 1000, ["_sorted_histogram"]),  # counters over budget: chunked sort
         (sparse, None, ["_sorted_histogram"]),  # span above the pair count: one sort
+        (sparse, 2, ["_sorted_histogram"]),  # chunks of two rows, merged
         # beyond int64, object dtype takes the same routes
         (big, None, ["_dense_histogram"]),
         (big_sparse, None, ["_sorted_histogram"]),
-        # a span of 2**62 or more: Python-int sums, in chunks under a small budget
+        # a span of 2**62 or more: Python-int sums, in one sort or a row per chunk
         (wide, None, ["_sorted_histogram"]),
-        (wide, 5000, ["_sorted_histogram"]),
+        (wide, 1, ["_sorted_histogram"]),
     ]
-    for (E, F), budget, route in cases:
+    for (E, F), rows, route in cases:
         for lam in (Fr(1), Fr(5, 2), Fr(1, 3)):  # 1/3: duplicate floors
             oracle = _dict_histogram(E, F, lam)
             operands = (E._array(), F._array())
             before = [a.copy() for a in operands]
-            with _routes_taken(budget) as taken:
+            pair_bytes = rows and _chunk_pair_bytes(rows, E, F, lam)
+            with _routes_taken(pair_bytes) as taken:
                 values, counts = grid_histogram(E, F, lam)
                 assert sum_scaled(E, F, lam).elements == tuple(oracle)
-            assert taken == route * 2
+            assert taken.routes == route * 2
+            if rows:
+                assert taken.sorts == 2 * _sorts(rows, E, F, lam) > 2
             assert dict(zip(values.tolist(), counts.tolist())) == oracle
+            assert counts.dtype == np.min_scalar_type(len(F))
             # the values are shifted in place: never in an operand's memory
             for a, b in zip(operands, before):
                 assert np.array_equal(a, b) and not np.shares_memory(values, a)
+
+
+def test_grid_histogram_refuses_counters_over_budget(monkeypatch):
+    # the dense grid of test_sumset_routes_agree, whose uint8 counters,
+    # nonzero indices and counts take 10 bytes per value of the span
+    E, F = IntegerSet(range(0, 900, 7), "e7"), IntegerSet(range(0, 500, 3), "f3")
+    monkeypatch.setattr(arith, "_BYTE_BUDGET", 1000)
+    for lam in (Fr(1), Fr(5, 2), Fr(1, 3)):
+        oracle = _dict_histogram(E, F, lam)
+        span = max(oracle) - min(oracle) + 1
+        message = rf"grid histogram too large \({span} counters, {10 * span} bytes > 1000\)"
+        with _routes_taken() as taken, pytest.raises(SizeGuardError, match=message):
+            grid_histogram(E, F, lam)
+        assert taken.routes == []  # refused before either route allocates
 
 
 class _AddAtSpy:
@@ -151,7 +191,7 @@ def test_dense_counters_reach_their_dtype_max(monkeypatch, E, F, lam, closed_for
     monkeypatch.setattr(arith, "np", SimpleNamespace(**{**vars(np), "add": spy}))
     with _routes_taken() as taken:
         values, counts = grid_histogram(E, F, lam)
-    assert taken == ["_dense_histogram"]
+    assert taken.routes == ["_dense_histogram"]
     expected = closed_form or _dict_histogram(E, F, lam)
     assert dict(zip(values.tolist(), counts.tolist())) == expected
     assert int(counts.max()) == np.iinfo(counts.dtype).max
@@ -177,16 +217,18 @@ _value = st.one_of(
         st.fractions(min_value=Fr(1, 50), max_value=Fr(1)),  # duplicate floors
         st.fractions(min_value=Fr(1, 10**6), max_value=Fr(10**3), max_denominator=10**15),
     ),
-    st.sampled_from([None, 400, 1]),  # byte budgets: default, chunked sort, one row per chunk
+    st.sampled_from([None, 2, 1]),  # rows per chunk: one sort, two rows, one row
 )
-def test_grid_histogram_matches_dict(xs, ys, lam, budget):
+def test_grid_histogram_matches_dict(xs, ys, lam, rows):
     E, F = IntegerSet(xs, "e"), IntegerSet(ys, "f")
-    with _routes_taken(budget):
+    with _routes_taken(rows and _chunk_pair_bytes(rows, E, F, lam)) as taken:
         values, counts = grid_histogram(E, F, lam)
+    if rows and taken.routes == ["_sorted_histogram"]:
+        assert taken.sorts == _sorts(rows, E, F, lam)
     oracle = _dict_histogram(E, F, lam)
     assert dict(zip(values.tolist(), counts.tolist())) == oracle
     assert list(values.tolist()) == list(oracle)
-    assert counts.dtype.kind == "u" and int(counts.max()) <= len(F)
+    assert counts.dtype == np.min_scalar_type(len(F)) and int(counts.max()) <= len(F)
     total = len(E) * len(F)
     assert grid_energy(counts, total) == sum(c * c for c in oracle.values())
 
@@ -232,7 +274,7 @@ def test_sumset_bigint_route():
 
 def test_sumset_size_guard():
     E = IntegerSet(range(200), "e")
-    with pytest.raises(SizeGuardError, match="200 x 200"):
+    with pytest.raises(SizeGuardError, match=r"200 x 200 pairs > 10000\)"):
         sumset(E, E, max_pairs=10_000)
     with pytest.raises(ValueError, match="nonempty"):
         sumset(E, IntegerSet([], "empty"))

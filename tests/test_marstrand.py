@@ -415,19 +415,40 @@ def test_slope_row_walks_difference_cells(monkeypatch, dtype):
 
 
 def test_delta_refuses_wide_windows_before_allocating(monkeypatch):
-    # F = {3, 4} over (1, 2]: route two has 2 + 3 = 5 events of 64 bytes
+    # F = {3, 4} over (1, 2]: route two has 2 + 3 = 5 events of 64 bytes,
+    # and 8 bytes of counters for each of the 3 elements of E per event
     calls = []
     for name in ("_band_histogram", "_delta_quadrature"):
         monkeypatch.setattr(marstrand, name, lambda *args, name=name: calls.append(name))
     E, F = IntegerSet([0, 1, 5], "e"), IntegerSet([3, 4], "f")
     w = LambdaWindow(Fr(1), Fr(2))
-    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", 5 * 64 - 1)
-    with pytest.raises(SizeGuardError, match=r"\(5 breakpoint events, 320 bytes > 319\)"):
+    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", 5 * 88 - 1)
+    with pytest.raises(SizeGuardError, match=r"\(5 breakpoint events, 440 bytes > 439\)"):
         delta_exact(E, F, w)
     assert calls == []
     monkeypatch.undo()
-    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", 5 * 64)
+    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", 5 * 88)
     assert delta_exact(E, F, w).agreement
+
+
+def test_delta_charges_route_two_counters(monkeypatch):
+    # one slope of 1000 over (1, 2] moves 1000 sparse values over 1000
+    # counters each: 8 MB of counters for 999 events, 64 kB at 64 bytes
+    # an event
+    E = IntegerSet(range(0, 1000 * 10**6, 10**6), "sparse")
+    F, w = IntegerSet([1000], "f"), LambdaWindow(Fr(1), Fr(2))
+    charged = 999 * (64 + 8 * 1000)
+    tracemalloc.start()
+    try:
+        assert delta_exact(E, F, w).agreement
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert charged // 2 < peak < charged + (1 << 20)
+    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", charged - 1)
+    message = rf"\(999 breakpoint events, {charged} bytes > {charged - 1}\)"
+    with pytest.raises(SizeGuardError, match=message):
+        delta_exact(E, F, w)
 
 
 def test_delta_refuses_huge_slopes():
@@ -561,14 +582,26 @@ def test_sweep_size_guards_keep_their_messages():
     quarter = LambdaWindow(Fr(1, 5), Fr(1, 4))
     # the grid's pairs decide, however few distinct floors lam*F has
     for max_pairs in (334 * 25 - 1, 334 * 25, 334 * 100 - 1):
-        with pytest.raises(SizeGuardError, match=r"collision grid too large \(33400 pairs\)"):
+        message = rf"collision grid too large \(33400 pairs\), over max_pairs {max_pairs}:"
+        with pytest.raises(SizeGuardError, match=message):
             sweep(E, F, quarter, samples=1, seed=0, max_pairs=max_pairs)
     sweep(E, F, quarter, samples=1, seed=0, max_pairs=334 * 100)
+    # big integers of a narrow span: the grid runs in int64 after the
+    # shift, and its histogram is the triangle of E + E
     big = IntegerSet([10**30 + k for k in range(2001)], "big")
-    with pytest.raises(SizeGuardError, match="big-integer handling"):
-        collision_stats(big, big, 1)
-    with pytest.raises(SizeGuardError, match="big-integer handling"):
-        sweep(big, big, LambdaWindow(Fr(1), Fr(2)), samples=1, seed=0)
+    col = collision_stats(big, big, 1)
+    assert col.values == tuple(2 * 10**30 + v for v in range(4001))
+    assert col.counts == tuple(min(v, 4000 - v) + 1 for v in range(4001))
+    (r,) = sweep(big, big, LambdaWindow(Fr(1), Fr(2)), samples=1, seed=0).records
+    assert r.distinct == len(sum_scaled(big, big, r.lam))
+    # big integers of a wide span: the sorted route's Python-int sums pass
+    # the byte budget, refused whichever caller asks
+    wide = IntegerSet([k * 10**30 for k in range(1500)], "wide")
+    message = r"grid histogram too large \(2250000 pairs, \d+ bytes > 150000000\)"
+    with pytest.raises(SizeGuardError, match=message):
+        collision_stats(wide, wide, 1)
+    with pytest.raises(SizeGuardError, match=message):
+        sweep(wide, wide, LambdaWindow(Fr(1), Fr(2)), samples=1, seed=0)
 
 
 def test_sweep_skip_integers():
