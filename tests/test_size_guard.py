@@ -16,9 +16,9 @@ from fractions import Fraction as Fr
 from hypothesis import given, settings, strategies as st
 
 import zdim.arithmetic as arithmetic
+import zdim.marstrand as marstrand
 from zdim.arithmetic import SizeGuardError, sumset
 from zdim.intset import IntegerSet
-import zdim.marstrand as marstrand
 from zdim.marstrand import LambdaWindow, collision_stats, delta_exact
 
 SLACK = 16 << 10
