@@ -33,6 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import arithmetic
 from .arithmetic import (
     SizeGuardError,
     _refuse_over_budget,
@@ -45,7 +46,7 @@ from .intset import _INT64_LIMIT, IntegerSet, Interval
 from .measures import ScanSchedule, dimension_estimate
 
 _DELTA_CHUNK = 4096  # route one: cells per chunk, and slope pairs per row group
-_BAND_CHUNK = 1 << 22  # differences made at once by _band_histogram
+_BAND_BYTES = 48  # per difference of a _band_histogram chunk: its indices, gathers and sort
 _QUAD_BLOCK = 128  # events applied at once by _delta_quadrature's block update
 _QUAD_ROWS = 128  # longer rows go one event at a time (_quad_events)
 
@@ -258,15 +259,20 @@ def _band_histogram(xs: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]
     xs is E's sorted, duplicate-free element array.  Only the pairs
     inside the band are made: for each a, the a' >= a up to a + bound end
     at a searchsorted rank, and their differences are generated by
-    ragged arange in chunks of _BAND_CHUNK pairs and counted by sorting,
-    so 0 counts |E|.  No negative difference is needed: for b' < b and
-    lam > 0 the floor gap floor(lam*b) - floor(lam*b') is at least 0.
+    ragged arange in chunks of whole rows and counted by sorting, so 0
+    counts |E|.  A chunk holds as many pairs as arithmetic._BYTE_BUDGET,
+    read at call time, allows at _BAND_BYTES each.  No negative
+    difference is needed: for b' < b and lam > 0 the floor gap
+    floor(lam*b) - floor(lam*b') is at least 0.
     """
     if xs.dtype != object and bound >= _INT64_LIMIT:
         xs = xs.astype(object)  # a + bound may leave int64
     lens = np.searchsorted(xs, xs + bound, side="right") - np.arange(len(xs))
-    groups = _row_groups(lens, _BAND_CHUNK)
-    parts = [_sorted_runs(xs[rows + t] - xs[rows]) for rows, t in groups]
+    groups = _row_groups(lens, max(1, arithmetic._BYTE_BUDGET // _BAND_BYTES))
+    parts = []
+    for rows, t in groups:
+        parts.append(_sorted_runs(xs[rows + t] - xs[rows]))
+        del rows, t  # before the next chunk's are made
     if len(parts) == 1:
         return parts[0]
     return _sorted_runs(*(np.concatenate(p) for p in zip(*parts)))

@@ -29,6 +29,19 @@ each other the witness is the shortest, then lowest, window; otherwise
 a fold in row-major order picks it.  Either way the reported witness is
 deterministic.
 
+The first pass reads each diagonal's gaps as differences of the offsets
+x_i - x_0.  When their span is below 2**62 the offsets are int64, for
+big-integer sets too.  A wider span, which only object arrays have, is
+read on two copies: uint64 residues mod 2**64, exact for every gap below
+2**64, and float64 offsets, which put each gap within 3 * 2**-53 * span
+and flag the windows that may reach 2**62 (all of them, as inf or nan,
+past float range).  A diagonal whose least gap and the float-rounding
+band above it lie among unflagged windows is scored in uint64 alone.
+The others are deferred: once the rest have set the best score, each is
+scanned on Python ints only while the score at a float lower bound on
+its length, with a margin for rounding, can still reach the near-tie
+threshold; one that cannot holds no candidate and is left out.
+
 Sets whose full pair count exceeds the schedule budget are scanned on
 an index stride.  First and last elements are always kept, so witnesses
 spanning the full hull are never lost to subsampling.
@@ -46,12 +59,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exact import EXACT_DEN_LIMIT, cmp_ratio, exact_feasible, ratio_value
-from .intset import IntegerSet, Interval
+from .intset import _INT64_LIMIT, IntegerSet, Interval
 
 # scans of object arrays (elements beyond int64) get a tighter cap
 _PY_BUDGET = 2_000_000
 _MAX_CANDIDATES = 50_000
 _FLOAT_OVERFLOW = (1 << 1024) - (1 << 970)  # least int that float() rounds to 2**1024
+_UINT64_MASK = (1 << 64) - 1
 
 
 class DegenerateSetError(ValueError):
@@ -178,7 +192,12 @@ def _window_scan(
     d = j - i < u the count is d * step + 1, so the first pass scores, in
     O(rows) memory, the shortest windows of each diagonal, those within
     float rounding of them and the column ending at an appended index.
-    The second scans the diagonals reaching near(best) by row blocks for
+    It takes the gaps from the offsets xs[i] - xs[pos[0]]: int64 below a
+    span of 2**62; past it, uint64 residues for the diagonals whose
+    shortest windows and rounding band the float offsets place below
+    2**62, and Python ints, after the rest, for the deferred diagonals
+    whose float lower bound on length can still reach near(best).  The
+    second scans the diagonals reaching near(best) by row blocks for
     the windows scoring at least near(best), row-major, up to
     _MAX_CANDIDATES.  Returns them as the arrays (counts, lengths, x_i,
     x_j), the first int64 and the others of xs's dtype, and the pair
@@ -200,19 +219,75 @@ def _window_scan(
     # diagonal at a time so memory stays O(rows)
     s = score(np.full(2, 2.0), np.array([2.0**1000, 2.0**1001]))  # band: a fall of ~2**-44
     band = max(1, int((1 - s[1] / s[0]) * 2**44)) if s[1] < s[0] else 2**62  # flat: constant
-    gmin, best_d = np.zeros(u, dtype=vals.dtype), np.full(u, -1.0)  # gap 0 where skipped
-    for d in range(-(-(min_count - 1) // step), u):
-        gaps = vals[d:u] - vals[: u - d]  # lengths - 1, at least d * step
+
+    def least(d, gaps):
+        """(g, score) for the gaps of diagonal d: g the least gap of a window
+        at least min_length long, score the best of the other gaps within
+        (g + 1) // band of it, or -1.  None when no window is that long."""
         if d * step + 1 < min_length:
             gaps = gaps[_as_float(gaps + 1) >= min_length]
             if not len(gaps):
-                continue
-        gmin[d] = g = int(gaps.min())  # a Python int: g + (g + 1) // band cannot wrap
+                return None
+        g = int(gaps.min())  # a Python int: g + (g + 1) // band cannot wrap
         if g + 1 >= band and ((t := gaps[gaps <= g + (g + 1) // band]) != g).any():
-            best_d[d] = score(np.full(len(t), d * step + 1.0), _as_float(t + 1)).max()
-    best_d = np.maximum(best_d, scored(np.arange(u) * step + 1, gmin + 1))
+            return g, score(np.full(len(t), d * step + 1.0), _as_float(t + 1)).max()
+        return g, -1.0
+
+    counts = np.arange(u) * step + 1
+    first = -(-(min_count - 1) // step)  # shorter diagonals hold too few elements
+    off = vals[:u] - vals[0]  # the gaps of the windows are differences of offsets
+    wide = off.dtype == object and off[-1] >= _INT64_LIMIT
+    if not wide:
+        off = off.astype(np.int64, copy=False)
+    gmin, best_d = np.zeros(u, dtype=off.dtype), np.full(u, -1.0)  # gap 0 where skipped
+    dd, low = [], []  # the diagonals left for later, and float lower bounds on their gaps
+    if not wide:
+        for d in range(first, u):
+            if (got := least(d, off[d:] - off[: u - d])) is not None:
+                gmin[d], best_d[d] = got
+    else:
+        # uint64 residues give every gap below 2**64 exactly.  The float
+        # offsets give each gap within 3 * 2**-53 * span; at err = 2**-50 * span
+        # a window whose float gap is below lim lies below 2**62, and any other
+        # lies above floor (inf and nan, past float range, are never below lim)
+        res = (off & _UINT64_MASK).astype(np.uint64)
+        flt = _as_float(off)
+        err = flt[-1] * 2.0**-50
+        lim, floor = 2.0**62 - err, (1 << 62) - (int(off[-1]) >> 49)
+        with np.errstate(invalid="ignore"):  # inf - inf past float range
+            for d in range(first, u):
+                fgaps = flt[d:] - flt[: u - d]
+                inside = fgaps < lim
+                if inside.all():
+                    if (got := least(d, res[d:] - res[: u - d])) is not None:
+                        gmin[d], best_d[d] = got
+                    continue
+                # the flagged windows lie above floor: if the least unflagged
+                # gap and its band lie below it, they are the diagonal's
+                got = least(d, (res[d:] - res[: u - d])[inside]) if inside.any() else None
+                if got is not None and got[0] + (got[0] + 1) // band < floor:
+                    gmin[d], best_d[d] = got
+                else:
+                    dd.append(d)
+                    low.append(fgaps.min() - err)  # nan if fgaps holds one
+    best_d = np.maximum(best_d, scored(counts, gmin + 1))
+    dd, low = np.array(dd, dtype=np.int64), np.array(low, dtype=np.float64)
+    best_d[dd] = -1.0  # their least gaps are not known yet
     col = scored(idx[-1] - idx + 1, vals[-1] - vals + 1) if u < rows else np.empty(0)
     best = float(max(best_d.max(initial=-1.0), col.max(initial=-1.0)))
+    # the deferred diagonals, best bound first, scanned exactly while the
+    # score at the float lower bound on length, with a margin for rounding,
+    # can still reach near(best); the rest cannot, and stay at -1
+    lens = np.where(low > dd * step, low + 1, dd * step + 1.0)  # nan: no bound
+    bound = score(counts[dd].astype(np.float64), lens) * (1 + 2.0**-30)
+    for k in np.argsort(-bound, kind="stable").tolist():
+        if best >= 0 and bound[k] < near(best):
+            break
+        d = int(dd[k])
+        if (got := least(d, vals[d:u] - vals[: u - d])) is not None:
+            gmin[d], best_d[d] = got
+        best_d[d] = max(best_d[d], scored(counts[d : d + 1], gmin[d : d + 1] + 1)[0])
+        best = max(best, float(best_d[d]))
     i = j = np.empty(0, dtype=np.int64)
     if best >= 0:
         thr = near(best)

@@ -319,17 +319,18 @@ def test_delta_routes_match_oracle(xs, ys, zero, shift, far, lo, width):
     assert want[0] == want[1]
     # _QUAD_ROWS = 0 applies route two's events one at a time; a large one
     # applies them in blocks of _QUAD_BLOCK whatever |E| is
-    names = ("_DELTA_CHUNK", "_BAND_CHUNK", "_QUAD_BLOCK", "_QUAD_ROWS")
+    names = ("_DELTA_CHUNK", "_BAND_BYTES", "_QUAD_BLOCK", "_QUAD_ROWS")
     defaults = tuple(getattr(marstrand, name) for name in names)
     many = 10**9
+    two = arithmetic._BYTE_BUDGET // 2  # _BAND_BYTES for band chunks of 2 differences
     # _DELTA_CHUNK = 1 puts every cell of a pair in a chunk of its own
     for sizes in (
         defaults,
-        (1, 2, 1, many),
-        (3, 2, 1, many),
-        (3, 2, 2, many),
-        (3, 2, 3, many),
-        (3, 2, 1, 0),
+        (1, two, 1, many),
+        (3, two, 1, many),
+        (3, two, 2, many),
+        (3, two, 3, many),
+        (3, two, 1, 0),
     ):
         with pytest.MonkeyPatch.context() as mp:
             for name, size in zip(names, sizes):

@@ -263,6 +263,24 @@ def _objective(alpha):
 
 _BIG = 10**12  # gaps this wide put window lengths past 10**9
 
+# object sets wider than 2**62: gaps within a few units of 2**62, 2**63 and
+# 2**64; powers of two up to 2**200, whose longest windows win at small
+# alpha, so a diagonal left to the exact pass must be rescanned; and values
+# near 10**400, where the float offsets overflow
+_WIDE = st.one_of(
+    st.lists(
+        st.tuples(st.integers(0, 4), st.sampled_from([2**62, 2**63, 2**64]), st.integers(-3, 3)),
+        min_size=1,
+        max_size=30,
+    ).map(lambda ps: sorted({k * g + r for k, g, r in ps})),
+    st.lists(
+        st.tuples(st.integers(0, 200), st.integers(0, 3)), min_size=1, max_size=30
+    ).map(lambda ps: sorted({2**k + r for k, r in ps})),
+    st.lists(
+        st.tuples(st.integers(0, 2), st.integers(-3, 3)), min_size=1, max_size=20
+    ).map(lambda ps: sorted({k * 10**400 + r for k, r in ps})),
+)
+
 
 @settings(max_examples=150, deadline=None)
 @given(
@@ -276,6 +294,7 @@ _BIG = 10**12  # gaps this wide put window lengths past 10**9
             min_size=1,
             max_size=30,
         ).map(lambda ps: sorted({k * _BIG + r for k, r in ps})),
+        _WIDE,
     ),
     st.booleans(),
     st.integers(1, 12),
@@ -287,6 +306,12 @@ _BIG = 10**12  # gaps this wide put window lengths past 10**9
 # density ties 3/9 and 2/6, the latter on a diagonal whose shortest window
 # (length 4) is below min_length
 @example([2, 5, 10], False, 1, False, 1, 5, Fr(1))
+# every window of diagonal 1 may pass 2**62: its least gap is unknown in the
+# first pass and must not score as a window of length 1
+@example([0, 2**63, 2**64], False, 1, False, 1, 1, Fr(1))
+# the least gap of diagonal 1 lies below 2**62, but its float-rounding band
+# reaches the flagged window 2**62 + 5
+@example([0, 2**62 - 2**20, 2**63 - 2**20 + 5], False, 1, False, 2, 2, None)
 def test_window_scan_matches_row_scan(xs, big, step, append, min_count, min_length, alpha):
     E = IntegerSet(xs, "w")
     if big:

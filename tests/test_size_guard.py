@@ -108,3 +108,29 @@ def test_delta_refuses_or_fits_the_budget(E, F, window, budget):
         marstrand._DELTA_CHUNK, marstrand._QUAD_BLOCK = saved
     if not isinstance(rep, SizeGuardError):
         assert rep.agreement  # the two routes share nothing but the input
+
+
+def test_band_histogram_fits_the_budget(monkeypatch):
+    # a dense E and F = {0, 50} over (1, 2] put about 3000 * 101 differences
+    # in route one's band, several chunks at this budget; one chunk of them
+    # all would take about 10 MB
+    E, F = IntegerSet(range(3000), "e"), IntegerSet([0, 50], "f")
+    budget = 2 << 20
+    band, peaks = marstrand._band_histogram, []
+
+    def traced_band(xs, bound):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = band(xs, bound)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return out
+
+    monkeypatch.setattr(marstrand, "_band_histogram", traced_band)
+    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        rep = delta_exact(E, F, LambdaWindow(1, 2))
+    finally:
+        tracemalloc.stop()
+    assert rep.agreement
+    assert len(peaks) == 1 and peaks[0] <= budget + SLACK, peaks
