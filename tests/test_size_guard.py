@@ -6,8 +6,10 @@ grid or event arrays exist, or returns the oracle's answer with a traced
 peak within the budget.  Both allow SLACK bytes for what no guard
 charges: the copies of the operands, Python objects and small
 temporaries.  An accepted delta_exact allows DELTA_SLACK bytes, with
-its fixed working sets shrunk (see its test).  The inputs stay small, so
-no example allocates more than a few MB even if a guard were missing.
+its fixed working sets shrunk (see its test).  Route one's band of
+differences, which no guard refuses, is chunked to fit the budget plus
+SLACK.  The inputs stay small, so no example allocates more than a few
+MB even if a guard were missing.
 """
 
 import tracemalloc
@@ -113,7 +115,7 @@ def test_delta_refuses_or_fits_the_budget(E, F, window, budget):
 def test_band_histogram_fits_the_budget(monkeypatch):
     # a dense E and F = {0, 50} over (1, 2] put about 3000 * 101 differences
     # in route one's band, several chunks at this budget; one chunk of them
-    # all would take about 10 MB
+    # all would take about 19 MB
     E, F = IntegerSet(range(3000), "e"), IntegerSet([0, 50], "f")
     budget = 2 << 20
     band, peaks = marstrand._band_histogram, []
