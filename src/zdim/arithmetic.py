@@ -115,9 +115,12 @@ def _floors(F: IntegerSet, p: int, q: int):
     return uf, (None if len(uf) == len(xf) else mult)
 
 
-def _refuse_over_budget(what: str, count: int, unit: str, unit_bytes: int, hint: str) -> None:
-    """Raise SizeGuardError when count units of unit_bytes bytes pass _BYTE_BUDGET."""
-    need = count * unit_bytes
+def _refuse_over_budget(
+    what: str, count: int, unit: str, unit_bytes: int, hint: str, base: int = 0
+) -> None:
+    """Raise SizeGuardError when base bytes and count units of unit_bytes
+    bytes pass _BYTE_BUDGET."""
+    need = base + count * unit_bytes
     if need > _BYTE_BUDGET:
         raise SizeGuardError(f"{what} ({count} {unit}, {need} bytes > {_BYTE_BUDGET}), {hint}")
 

@@ -268,7 +268,7 @@ def _band_histogram(xs: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]
     if xs.dtype != object and bound >= _INT64_LIMIT:
         xs = xs.astype(object)  # a + bound may leave int64
     lens = np.searchsorted(xs, xs + bound, side="right") - np.arange(len(xs))
-    groups = _row_groups(lens, max(1, arithmetic._BYTE_BUDGET // _BAND_BYTES))
+    groups = _row_groups(lens, arithmetic._BYTE_BUDGET // _BAND_BYTES)
     parts = []
     for rows, t in groups:
         parts.append(_sorted_runs(xs[rows + t] - xs[rows]))
@@ -492,8 +492,9 @@ def delta_exact(
     per pair in closed form.
 
     Route two holds arrays of one entry per breakpoint event k/|b| and
-    |E| counters per event, so a window whose events pass the byte budget
-    at 64 + 8|E| bytes each is refused before either route allocates.
+    its counters (_quad_rows), so a window whose events at 64 bytes each
+    and counters at 8 pass the byte budget is refused before either route
+    allocates more than arrays of one entry per pair.
     """
     if len(E) == 0 or len(F) == 0:
         raise ValueError("empty set")
@@ -507,11 +508,13 @@ def delta_exact(
     fvals = F.elements
     # Route two keeps at most eight 8-byte entries per event alive (owner,
     # rank, k, its float key, the order, then dN and the factors of k*dN)
-    # and an int64 counter per value a + floor(lam*b): |E| per event of b,
-    # one more for each of the |E||F| pairs, which max_pairs bounds
+    # and an int64 counter per value a + floor(lam*b).  The events are
+    # charged first: past them the counters' layout may not fit int64
     events = sum(math.ceil(hi * m) - math.floor(lo * m) - 1 for m in map(abs, fvals) if m)
-    per, hint = 64 + 8 * len(E), "narrow the lambda window"
-    _refuse_over_budget("delta window too wide", events, "breakpoint events", per, hint)
+    what, unit, hint = "delta window too wide", "breakpoint events", "narrow the lambda window"
+    _refuse_over_budget(what, events, unit, 64, hint)
+    layout = _quad_rows(E, F, window)
+    _refuse_over_budget(what, events, unit, 64, hint, base=8 * layout[-1])
     total = Fraction(pairs) * window.measure  # z == z' diagonal
     positive = pairs
     breakpoints = 0
@@ -566,7 +569,7 @@ def delta_exact(
                     by_grid[g] = by_grid.get(g, 0) + n
         common = math.lcm(*by_grid)  # one division per grid, not a Fraction sum
         total += 2 * Fraction(sum(n * (common // g) for g, n in by_grid.items()), common)
-    quad = _delta_quadrature(E, F, window)
+    quad = _delta_quadrature(E, F, window, layout)
     return DeltaReport(window, total, quad, positive, breakpoints)
 
 
@@ -645,54 +648,28 @@ def _quad_blocks(
     return dn
 
 
-def _delta_quadrature(E: IntegerSet, F: IntegerSet, window: LambdaWindow) -> Fraction:
-    """Route two of delta_exact: integrate the collision energy N(lam).
+def _quad_rows(E: IntegerSet, F: IntegerSet, window: LambdaWindow):
+    """The events of _delta_quadrature and its counter rows before the first.
 
-    N is constant between the events t = k/|b| (b in F, lo < t < hi),
-    where lam*b crosses an integer.  Events are sorted on the float key
-    k/|b| when hi * max|b|**2 < 2**52: distinct events then differ by at
-    least 1/max|b|**2, more than twice the rounding error of a key, and
-    equal events round alike, so the order is exact; otherwise they are
-    sorted as Fractions.  The histogram of a + floor(lam*b) is kept on
-    int64 counters in compressed coordinates: the values of a stay in
-    [a + fmin, a + fmax], and merging these intervals over sorted E
-    numbers them contiguously however large E's elements are, so row j
-    (the counters of a + floor(lam*b_j), a in E) sits r steps of +-1
-    from its start at the r-th event of b_j.  An event removes its row's
-    old counters, then adds the new ones (each duplicate-free), which
-    changes N by 2*(sum h_new - sum h_old) + 2|E|.
-
-    Rows of up to _QUAD_ROWS counters are applied _QUAD_BLOCK events at a
-    time by one sort of packed keys per block (_quad_blocks): on short
-    rows numpy's per-call cost dominates a per-event update.  Longer rows are applied
-    one event at a time (_quad_events): there the block's sort and
-    gathers over 2*_QUAD_BLOCK*|E| members cost more than the calls they
-    save, and its arrays would grow with |E|.
-
-    By Abel summation the integral is hi*N_end - lo*N_start - sum over
-    events of t*dN, and grouping t*dN = k*dN/|b| by b leaves one integer
-    and one Fraction per slope: int64 when a bound on every slope's sum
-    of |k*dN| is below 2**62, Python ints otherwise.
+    Slope b fires at k/|b| for counts[b] values of k from firsts[b] on,
+    where lam*b crosses an integer.  The histogram of a + floor(lam*b) is
+    kept on int64 counters in compressed coordinates: the values of a
+    stay in [a + fmin, a + fmax], and merging these intervals over sorted
+    E numbers them contiguously however large E's elements are, so row j
+    of cur (the counters of a + floor(lam*b_j), a in E) sits r steps of
+    +-1 from its start at the r-th event of b_j.  Arrays of one entry per
+    pair (a, b) only.  Returns (firsts, counts, cur, size), size the
+    number of counters.
     """
     lo, hi = window.lo, window.hi
     fvals = F.elements
     slopes = [abs(b) for b in fvals]
     firsts = [math.floor(lo * m) + 1 for m in slopes]
     counts = [math.ceil(hi * m) - k if m else 0 for m, k in zip(slopes, firsts)]
-    float_keys = hi * max(slopes) ** 2 < 1 << 52
-    owner = np.repeat(np.arange(len(fvals)), counts)
-    rank = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]  # r of the r-th event
-    ks = np.array(firsts, dtype=np.int64 if float_keys else object)[owner] + rank
-    if float_keys:
-        order = np.argsort(ks / np.array(slopes)[owner], kind="stable")
-    else:
-        order = sorted(range(len(ks)), key=lambda e: Fraction(ks[e], slopes[owner[e]]))
-    ks, owner, rank = ks[order], owner[order], rank[order]
-    first = Fraction(int(ks[0]), slopes[owner[0]]) if len(ks) else hi
+    first = min((Fraction(k, m) for k, m, c in zip(firsts, slopes, counts) if c), default=hi)
     mid = (lo + first) / 2
     floors = [(mid.numerator * b) // mid.denominator for b in fvals]
-    steps = [1 if b > 0 else -1 for b in fvals]
-    lasts = [f + s * c for f, s, c in zip(floors, steps, counts)]
+    lasts = [f + (c if b > 0 else -c) for f, b, c in zip(floors, fvals, counts)]
     lows = [min(f, l) for f, l in zip(floors, lasts)]
     highs = [max(f, l) for f, l in zip(floors, lasts)]
     wide = E._array().dtype == object or max(-min(lows), max(highs)) >= _INT64_LIMIT
@@ -713,10 +690,52 @@ def _delta_quadrature(E: IntegerSet, F: IntegerSet, window: LambdaWindow) -> Fra
     at[order] = (np.cumsum(sizes) - sizes)[block] + (starts - starts[heads][block]).astype(
         np.int64
     )
-    # counter rows: row j holds the counters of a + floor(lam*b_j), a in E
     shift = np.array([f - l for f, l in zip(floors, lows)], dtype=np.int64)
     cur = np.ascontiguousarray(at.reshape(len(E), len(fvals)).T) + shift[:, None]
-    size = int(sizes.sum())
+    return firsts, counts, cur, int(sizes.sum())
+
+
+def _delta_quadrature(E: IntegerSet, F: IntegerSet, window: LambdaWindow, layout) -> Fraction:
+    """Route two of delta_exact: integrate the collision energy N(lam).
+
+    N is constant between the events t = k/|b| (b in F, lo < t < hi),
+    where lam*b crosses an integer.  Events are sorted on the float key
+    k/|b| when hi * max|b|**2 < 2**52: distinct events then differ by at
+    least 1/max|b|**2, more than twice the rounding error of a key, and
+    equal events round alike, so the order is exact; otherwise they are
+    sorted as Fractions.  layout is _quad_rows(E, F, window): the events
+    per slope and the counter rows of the histogram of a + floor(lam*b),
+    which the events move in place.  An event removes its row's old
+    counters, then adds the new ones (each duplicate-free), which changes
+    N by 2*(sum h_new - sum h_old) + 2|E|.
+
+    Rows of up to _QUAD_ROWS counters are applied _QUAD_BLOCK events at a
+    time by one sort of packed keys per block (_quad_blocks): on short
+    rows numpy's per-call cost dominates a per-event update.  Longer rows are applied
+    one event at a time (_quad_events): there the block's sort and
+    gathers over 2*_QUAD_BLOCK*|E| members cost more than the calls they
+    save, and its arrays would grow with |E|.
+
+    By Abel summation the integral is hi*N_end - lo*N_start - sum over
+    events of t*dN, and grouping t*dN = k*dN/|b| by b leaves one integer
+    and one Fraction per slope: int64 when a bound on every slope's sum
+    of |k*dN| is below 2**62, Python ints otherwise.
+    """
+    lo, hi = window.lo, window.hi
+    fvals = F.elements
+    firsts, counts, cur, size = layout
+    slopes = [abs(b) for b in fvals]
+    float_keys = hi * max(slopes) ** 2 < 1 << 52
+    owner = np.repeat(np.arange(len(fvals)), counts)
+    rank = np.arange(len(owner)) - (np.cumsum(counts) - counts)[owner]  # r of the r-th event
+    ks = np.array(firsts, dtype=np.int64 if float_keys else object)[owner] + rank
+    if float_keys:
+        order = np.argsort(ks / np.array(slopes)[owner], kind="stable")
+    else:
+        order = sorted(range(len(ks)), key=lambda e: Fraction(ks[e], slopes[owner[e]]))
+    ks, owner, rank = ks[order], owner[order], rank[order]
+    del order
+    steps = [1 if b > 0 else -1 for b in fvals]
     hist = np.bincount(cur.ravel(), minlength=size)
     start_energy = int(hist @ hist)
     if len(E) > _QUAD_ROWS:

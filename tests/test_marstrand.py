@@ -417,18 +417,19 @@ def test_slope_row_walks_difference_cells(monkeypatch, dtype):
 
 def test_delta_refuses_wide_windows_before_allocating(monkeypatch):
     # F = {3, 4} over (1, 2]: route two has 2 + 3 = 5 events of 64 bytes,
-    # and 8 bytes of counters for each of the 3 elements of E per event
+    # and 10 counters of 8 bytes, as the values a + floor(lam*b) of E = {0,
+    # 1, 5} run over [3, 12]
     calls = []
     for name in ("_band_histogram", "_delta_quadrature"):
         monkeypatch.setattr(marstrand, name, lambda *args, name=name: calls.append(name))
     E, F = IntegerSet([0, 1, 5], "e"), IntegerSet([3, 4], "f")
     w = LambdaWindow(Fr(1), Fr(2))
-    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", 5 * 88 - 1)
-    with pytest.raises(SizeGuardError, match=r"\(5 breakpoint events, 440 bytes > 439\)"):
+    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", 5 * 64 + 10 * 8 - 1)
+    with pytest.raises(SizeGuardError, match=r"\(5 breakpoint events, 400 bytes > 399\)"):
         delta_exact(E, F, w)
     assert calls == []
     monkeypatch.undo()
-    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", 5 * 88)
+    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", 5 * 64 + 10 * 8)
     assert delta_exact(E, F, w).agreement
 
 
@@ -438,7 +439,7 @@ def test_delta_charges_route_two_counters(monkeypatch):
     # an event
     E = IntegerSet(range(0, 1000 * 10**6, 10**6), "sparse")
     F, w = IntegerSet([1000], "f"), LambdaWindow(Fr(1), Fr(2))
-    charged = 999 * (64 + 8 * 1000)
+    charged = 999 * 64 + 1000 * 1000 * 8
     tracemalloc.start()
     try:
         assert delta_exact(E, F, w).agreement
@@ -450,6 +451,20 @@ def test_delta_charges_route_two_counters(monkeypatch):
     message = rf"\(999 breakpoint events, {charged} bytes > {charged - 1}\)"
     with pytest.raises(SizeGuardError, match=message):
         delta_exact(E, F, w)
+
+
+def test_delta_charges_shared_counters(monkeypatch):
+    # squares up to 40**2 over (1, 2]: 22,100 events, whose values
+    # a + floor(lam*b) share 4796 counters, not |E| = 40 fresh ones per
+    # event (8.5 MB at 64 + 8|E| bytes an event)
+    E, w = IntegerSet([k * k for k in range(1, 41)], "squares"), LambdaWindow(Fr(1), Fr(2))
+    charged = 22_100 * 64 + 4796 * 8
+    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", charged)
+    assert delta_exact(E, E, w).agreement
+    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", charged - 1)
+    message = rf"\(22100 breakpoint events, {charged} bytes > {charged - 1}\)"
+    with pytest.raises(SizeGuardError, match=message):
+        delta_exact(E, E, w)
 
 
 def test_delta_refuses_huge_slopes():
@@ -475,7 +490,7 @@ def test_delta_quadrature_blocks_on_heavy_collisions(monkeypatch, block, rows):
         monkeypatch.setattr(marstrand, "_QUAD_BLOCK", block)
     if rows is not None:
         monkeypatch.setattr(marstrand, "_QUAD_ROWS", rows)
-    assert marstrand._delta_quadrature(E, F, w) == rep.exact_value
+    assert marstrand._delta_quadrature(E, F, w, marstrand._quad_rows(E, F, w)) == rep.exact_value
 
 
 @pytest.mark.parametrize("block", [1, 2, 3, 128, 2**23])
@@ -502,7 +517,8 @@ def test_quad_blocks_match_quad_events(monkeypatch, block):
     monkeypatch.setattr(marstrand, "_QUAD_BLOCK", block)
     monkeypatch.setattr(marstrand, "_quad_blocks", spy)
     w = LambdaWindow(Fr(1, 2), Fr(3))
-    assert marstrand._delta_quadrature(E, F, w) == oracle_delta(E, F, w)[0]
+    quad = marstrand._delta_quadrature(E, F, w, marstrand._quad_rows(E, F, w))
+    assert quad == oracle_delta(E, F, w)[0]
     # events k/|b| inside the window: 99 for each of +-40, 7, 2 and 4 for 3, 1 and 2
     assert runs == [(block == 2**23, 2 * 99 + 7 + 2 + 4)]
 
@@ -520,7 +536,7 @@ def test_delta_exact_calls_quadrature_through_module_global(monkeypatch):
     monkeypatch.setattr(marstrand, "_delta_quadrature", spy)
     E, F = IntegerSet([0, 1, 5], "e"), IntegerSet([0, 2, 3], "f")
     rep = marstrand.delta_exact(E, F, LambdaWindow(Fr(1), Fr(2)))
-    assert calls == [(E, F, rep.window)]
+    assert [args[:3] for args in calls] == [(E, F, rep.window)]
     assert rep.agreement
 
 

@@ -329,6 +329,24 @@ def test_window_scan_matches_row_scan(xs, big, step, append, min_count, min_leng
         assert as_tuples(_window_scan(*args)) == (oracle[0][:3], oracle[1])
 
 
+def test_wide_band_reaching_flagged_windows_is_deferred():
+    # diagonal 1 has gaps 2**62 - 2**16, below 2**62, and 2**62 + 2**10,
+    # flagged; the second lies within the first's float-rounding band (about
+    # 2**19 at alpha 1), which passes floor = 2**62 - 2**14 + 1.  A score
+    # lifted by 2**-40 from length 2**62 on rises inside that band, so the
+    # flagged window is the best one, and a first pass that trusted the
+    # unflagged gap alone would miss it and pick diagonal 2 instead
+    xs = np.array([0, 2**62 - 2**16, 2**63 - 2**16 + 2**10], dtype=object)
+
+    def score(c, l):
+        return c / l * np.where(l >= 2.0**62, 1 + 2.0**-40, 1.0)
+
+    args = (xs, [0, 1, 2], score, lambda b: b, 2, 1)
+    oracle = row_scan(*args, cap=measures._MAX_CANDIDATES)
+    assert oracle == ([(2, 2**62 + 2**10 + 1, 2**62 - 2**16, 2**63 - 2**16 + 2**10)], 6)
+    assert as_tuples(_window_scan(*args)) == oracle
+
+
 def test_all_ties_stop_early():
     # every window of a block ties at density 1 and dimension 1; the
     # candidate pass stops at the cap instead of collecting 1.25e7 ties
