@@ -125,6 +125,15 @@ def _refuse_over_budget(
         raise SizeGuardError(f"{what} ({count} {unit}, {need} bytes > {_BYTE_BUDGET}), {hint}")
 
 
+def _object_bytes(dtype, *ends: int) -> int:
+    """Bytes an object-dtype value adds to its array slot: a pointer and
+    its Python int, in 16-byte blocks, sized by the largest of ends (the
+    values of largest magnitude); 0 for other dtypes."""
+    if dtype != object:
+        return 0
+    return 8 + -(-max(sys.getsizeof(e) for e in ends) // 16) * 16
+
+
 def _dense_histogram(xe, uf, mult, span, cdtype):
     # operands start at 0, so every sum indexes the span
     acc = np.zeros(span, dtype=cdtype)
@@ -197,9 +206,7 @@ def grid_histogram(E: IntegerSet, F: IntegerSet, lam) -> tuple[np.ndarray, np.nd
     lo = int(xe[0]) + int(uf[0])
     span = int(xe[-1]) + int(uf[-1]) - lo + 1
     dtype = np.result_type(xe, uf)  # of the values: object when an operand is
-    # an object value adds a pointer and its Python int, in 16-byte blocks
-    int_bytes = max(sys.getsizeof(lo), sys.getsizeof(lo + span - 1))  # largest at an end
-    extra = 0 if dtype != object else 8 + -(-int_bytes // 16) * 16
+    extra = _object_bytes(dtype, lo, lo + span - 1)
     if span >= _INT64_LIMIT:
         # sums of int64 operands stay in int64; object ones stay Python ints
         return _sorted_histogram(xe, uf, mult, cdtype, extra)

@@ -261,14 +261,17 @@ def _band_histogram(xs: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]
     at a searchsorted rank, and their differences are generated by
     ragged arange in chunks of whole rows and counted by sorting, so 0
     counts |E|.  A chunk holds as many pairs as arithmetic._BYTE_BUDGET,
-    read at call time, allows at _BAND_BYTES each.  No negative
+    read at call time, allows at _BAND_BYTES each, plus, for object
+    differences, what arithmetic._object_bytes charges a new Python int
+    up to bound.  No negative
     difference is needed: for b' < b and lam > 0 the floor gap
     floor(lam*b) - floor(lam*b') is at least 0.
     """
     if xs.dtype != object and bound >= _INT64_LIMIT:
         xs = xs.astype(object)  # a + bound may leave int64
     lens = np.searchsorted(xs, xs + bound, side="right") - np.arange(len(xs))
-    groups = _row_groups(lens, arithmetic._BYTE_BUDGET // _BAND_BYTES)
+    per = _BAND_BYTES + arithmetic._object_bytes(xs.dtype, bound)
+    groups = _row_groups(lens, arithmetic._BYTE_BUDGET // per)
     parts = []
     for rows, t in groups:
         parts.append(_sorted_runs(xs[rows + t] - xs[rows]))

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .exact import ceil_pow, cmp_ratio, exact_feasible, pow_bracket
-from .intset import IntegerSet, Interval
+from .intset import _INT64_LIMIT, IntegerSet, Interval
 from .measures import (
     DegenerateSetError,
     DimensionEstimate,
@@ -263,6 +263,16 @@ def _ladder(
     its shortest windows at the target where rung scale's longest end,
     so one binary search per rung serves both: they differ only when an
     element sits exactly at the target.
+
+    A rung reads its targets, searches and lengths from offsets, not
+    from the elements.  Its windows are shorter than 2*scale, so they
+    cross no gap of 2*scale or more, and offsets whose gaps are capped
+    at min(gap, 2*scale) give the same indices, the same kept windows
+    and the same lengths below 2*scale as the elements.  A rung whose
+    span plus 4*scale stays below _INT64_LIMIT runs on the int64 offsets
+    xs - xs[0], made once; another runs on its own capped int64 offsets
+    when their total plus 4*scale stays below it too, and on xs - xs[0]
+    in Python ints otherwise.  Witness endpoints come from the elements.
     """
     scales = _ladder_scales(top)
     xs = E._array()
@@ -274,18 +284,37 @@ def _ladder(
         xs = np.ascontiguousarray(xs[:: n // _STRIDE_TARGET])
         n = len(xs)
     starts = np.arange(n)
-    lo_idx = np.searchsorted(xs, xs + (scales[0] - 1), side="left")
+    span = int(xs[-1]) - int(xs[0])
+    whole = gaps = wide = lo_idx = None
     rungs: list[tuple[int, Optional[tuple[int, int, int, int]]]] = []
     for scale in scales:
-        target = xs + (2 * scale - 1)
-        hi_idx = np.searchsorted(xs, target, side="right") - 1
+        cap = 2 * scale
+        if span + 2 * cap < _INT64_LIMIT:
+            if whole is None:
+                whole = (xs - xs[0]).astype(np.int64)
+            offs = whole
+        else:
+            if gaps is None:
+                gaps = np.minimum(np.diff(xs), _INT64_LIMIT).astype(np.int64)
+            # every gap is at most _INT64_LIMIT, so the int64 sums cannot
+            # jump over [2**63, 2**64): a sum that wraps leaves a negative
+            offs = np.zeros(n, dtype=np.int64)
+            np.cumsum(np.minimum(gaps, min(cap, _INT64_LIMIT)), out=offs[1:])
+            if offs.min() < 0 or int(offs[-1]) + 2 * cap >= _INT64_LIMIT:
+                if wide is None:
+                    wide = xs.astype(object) - int(xs[0])
+                offs = wide
+        if lo_idx is None:
+            lo_idx = np.searchsorted(offs, offs + (scales[0] - 1), side="left")
+        target = offs + (cap - 1)
+        hi_idx = np.searchsorted(offs, target, side="right") - 1
         best: Optional[tuple[float, int, int, int, int]] = None
         for j_idx in (hi_idx, lo_idx):
             valid = j_idx < n
             j = np.where(valid, j_idx, n - 1)
             counts = (j - starts + 1).astype(np.float64)
-            lengths = xs[j] - xs + 1
-            ok = valid & (lengths >= scale) & (lengths < 2 * scale)
+            lengths = offs[j] - offs + 1
+            ok = valid & (lengths >= scale) & (lengths < cap)
             if not ok.any():
                 continue
             r = np.where(ok, counts * _as_float(lengths) ** (-alpha_f), -1.0)
@@ -296,7 +325,7 @@ def _ladder(
                 best = cand
         rungs.append((scale, None if best is None else best[1:]))
         # hi_idx >= start, so the gather stays in range
-        lo_idx = hi_idx + (xs[hi_idx] != target)
+        lo_idx = hi_idx + (offs[hi_idx] != target)
     return rungs
 
 

@@ -2,6 +2,7 @@
 ladder diagnostics (regularity, compatibility, universality)."""
 
 import bisect
+import itertools
 import math
 from fractions import Fraction as Fr
 
@@ -279,6 +280,10 @@ def test_ladder_matches_bisect_oracle(xs, alpha, shift, stride, top):
     members = list(E.elements)
     if stride and len(members) > 8:
         members = members[:: len(members) // 4]
+    _check_rungs(members, top, alpha, rungs)
+
+
+def _check_rungs(members, top, alpha, rungs):
     scales = [s for s, _ in rungs]
     assert scales == ([4 * 2**k for k in range(top.bit_length() - 2)] or [top])
     for scale, got in rungs:
@@ -290,3 +295,56 @@ def test_ladder_matches_bisect_oracle(xs, alpha, shift, stride, top):
         assert found[lo, hi][:2] == (count, length)
         best = max(r for _, _, r in found.values())
         assert math.isclose(found[lo, hi][2], best, rel_tol=1e-12), scale
+
+
+# gaps that straddle 2**61..2**62, where a rung's cap 2*scale meets
+# _INT64_LIMIT, after a run whose short windows fill the first rungs
+_STRADDLE = st.lists(
+    st.one_of(st.integers(1, 64), st.integers(2**61 - 3, 2**62 + 3)), min_size=1, max_size=30
+).map(lambda gaps: [*range(10), *(9 + g for g in itertools.accumulate(gaps))])
+# members times 8192**k: at k = 4 (2**52) gaps of 512 to 1024 members
+# straddle 2**61..2**62
+_SCALED = st.builds(lambda xs, k: [x * 8192**k for x in xs], _MEMBERS, st.integers(1, 5))
+# int64 sets whose span passes 2**62: their targets would leave int64
+_EDGES = st.lists(
+    st.one_of(st.integers(2**62 - 5000, 2**62 - 1), st.integers(-(2**62) + 1, -(2**62) + 5000)),
+    min_size=2,
+    max_size=40,
+    unique=True,
+)
+
+
+@given(
+    st.one_of(
+        st.tuples(_SCALED, st.just(1 << 70)),
+        st.tuples(_STRADDLE, st.sampled_from([0, 1 << 70])),
+        st.tuples(_EDGES, st.just(0)),
+    ),
+    st.sampled_from([0.0, 0.5, 1.0]),
+)
+# the Python-int rung 2**60 drops the window (-1, 2**61 - 1], which is
+# 2**61 long as 2**61 - 1 sits exactly at its start + 2*scale - 1
+@example(([*range(6), 2**61 - 1], 1 << 70), 1.0)
+def test_wide_span_ladder_matches_bisect_oracle(members_shift, alpha):
+    xs, shift = members_shift
+    E = IntegerSet(xs, "e").shift(shift)
+    top = E.hull().length
+    kinds = []
+
+    def spy(lengths):
+        kinds.append(lengths.dtype == object)
+        return as_float(lengths)
+
+    as_float = regularity._as_float
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "_as_float", spy)
+        rungs = _ladder(E, top, alpha)
+    _check_rungs(list(E.elements), top, alpha, rungs)
+    # rungs take int64 offsets, then Python ints from some scale on: at
+    # scale 4 the offsets (capped at 8) stay far below 2**62, and from
+    # 2**60 on twice the cap alone reaches it
+    assert kinds == sorted(kinds)
+    if rungs[0][1] is not None:
+        assert not kinds[0]
+    if any(got is not None for s, got in rungs if s >= 2**60):
+        assert kinds[-1]
