@@ -211,6 +211,8 @@ def test_ladders_stay_within_max_scale():
     assert [r.scale for r in rep.rungs] == [2]
     assert rep.rungs[0].witness.length in (2, 3)
     assert [r.scale for r in compatibility_check(E, E, max_scale=3).rungs] == [3]
+    # scales past int64 on an int64 set: the rungs run on Python ints
+    assert [r.scale for r in universality_check(E, max_scale=2**66).rungs][-1] == 2**66
     for bad in (0, -4):
         with pytest.raises(ValueError, match="top ladder scale"):
             universality_check(E, max_scale=bad)
@@ -302,8 +304,8 @@ def _check_rungs(members, top, alpha, rungs):
 _STRADDLE = st.lists(
     st.one_of(st.integers(1, 64), st.integers(2**61 - 3, 2**62 + 3)), min_size=1, max_size=30
 ).map(lambda gaps: [*range(10), *(9 + g for g in itertools.accumulate(gaps))])
-# members times 8192**k: at k = 4 (2**52) gaps of 512 to 1024 members
-# straddle 2**61..2**62
+# members times 8192**k, shifted by 2**70: at k = 4 (2**52) members 512
+# to 1024 apart leave gaps that straddle 2**61..2**62
 _SCALED = st.builds(lambda xs, k: [x * 8192**k for x in xs], _MEMBERS, st.integers(1, 5))
 # int64 sets whose span passes 2**62: their targets would leave int64
 _EDGES = st.lists(
@@ -322,8 +324,8 @@ _EDGES = st.lists(
     ),
     st.sampled_from([0.0, 0.5, 1.0]),
 )
-# the Python-int rung 2**60 drops the window (-1, 2**61 - 1], which is
-# 2**61 long as 2**61 - 1 sits exactly at its start + 2*scale - 1
+# the Python-int rung 2**60 drops the window from 0 to 2**61 - 1 (before
+# the shift), 2**61 long, as 2**61 - 1 sits exactly at start + 2*scale - 1
 @example(([*range(6), 2**61 - 1], 1 << 70), 1.0)
 def test_wide_span_ladder_matches_bisect_oracle(members_shift, alpha):
     xs, shift = members_shift

@@ -8,8 +8,8 @@ charges: the copies of the operands, Python objects and small
 temporaries.  An accepted delta_exact allows DELTA_SLACK bytes, with
 its fixed working sets shrunk (see its test).  Route one's band of
 differences, which no guard refuses, is chunked to fit the budget plus
-SLACK.  The inputs stay small, so no example allocates more than a few
-MB even if a guard were missing.
+SLACK, on int64 and big-integer elements alike.  The inputs stay small,
+so no example allocates more than a few MB even if a guard were missing.
 """
 
 import tracemalloc
