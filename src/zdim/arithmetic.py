@@ -16,8 +16,7 @@ The route is chosen from the value span and the pair count alone:
   pairs: for each element ``shift`` of the shorter of E and the distinct
   floors of lam*F, the longer one is added by an unbuffered ``np.add.at``
   into the counters from ``shift`` on;
-- sorted outer sum: outer sums sorted and counted run by run, in chunks
-  of what the result leaves of the budget, merged by a stable sort.
+- sorted outer sum: the outer sums in one sort, counted run by run.
 
 Each route states its whole peak, working memory and result, to
 ``_refuse_over_budget``, the one check against the byte budget
@@ -53,7 +52,6 @@ import numpy as np
 from .intset import _INT64_LIMIT, IntegerSet, _run_starts
 
 _BYTE_BUDGET = 150_000_000  # working memory of one array route, in bytes
-_SORT_PAIR_BYTES = 40  # per pair of a chunk's sort, counts aside: sums, order, gathered, runs
 _ENERGY_CHUNK = 1 << 16  # counts squared per int64 copy in grid_energy
 
 
@@ -154,35 +152,16 @@ def _dense_histogram(xe, uf, mult, span, cdtype):
 
 
 def _sorted_histogram(xe, uf, mult, cdtype, extra):
-    # rows from the longer array, so that a chunk of rows fits the budget
-    rows, cols = (xe, uf) if len(xe) >= len(uf) else (uf, xe)
-    pairs, c = len(rows) * len(cols), cdtype.itemsize
-    # one sort of at most an entry (value and count) per pair, in one chunk
-    # or merging the parts, bounds the route: three copies of each entry
-    # (parts, sorted gather, runs), the order and the run starts
-    per = 3 * (8 + c) + 16 + extra
+    pairs = len(xe) * len(uf)
+    # one sort of an entry (value and count) per pair bounds the route:
+    # three copies of each entry (sums, sorted gather, runs), the order
+    # and the run starts
+    per = 3 * (8 + cdtype.itemsize) + 16 + extra
     _refuse_over_budget("grid histogram too large", pairs, "pairs", per, "restrict windows")
-    # the chunks take what the parts, one entry per pair, leave
-    left = _BYTE_BUDGET - pairs * (8 + c + extra)
-    step = max(1, left // (_SORT_PAIR_BYTES + 3 * c + extra) // len(cols))
-    parts = []
-    for i in range(0, len(rows), step):
-        vals = (rows[i : i + step, None] + cols[None, :]).ravel()
-        if mult is None:
-            weights = None
-        elif rows is uf:
-            weights = np.repeat(mult[i : i + step], len(cols))
-        else:
-            weights = np.tile(mult, len(vals) // len(cols))
-        values, counts = _sorted_runs(vals, weights)
-        parts.append((values, counts.astype(cdtype, copy=False)))
-        del vals, weights  # before the next chunk's sums exist
-    if len(parts) == 1:
-        return parts[0]
-    values = np.concatenate([v for v, _ in parts])
-    counts = np.concatenate([n for _, n in parts])
-    del parts
-    return _sorted_runs(values, counts)
+    vals = (xe[:, None] + uf[None, :]).ravel()
+    weights = None if mult is None else np.tile(mult, len(xe))
+    values, counts = _sorted_runs(vals, weights)
+    return values, counts.astype(cdtype, copy=False)
 
 
 def grid_histogram(E: IntegerSet, F: IntegerSet, lam) -> tuple[np.ndarray, np.ndarray]:

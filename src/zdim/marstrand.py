@@ -767,10 +767,14 @@ class SweepRecord:
     lam: Fraction
     dimension: float
     sum_size: int
-    distinct: int
     energy: int
     cs_bound: Fraction
     span: int  # length of the interval the sum is confined to
+
+    @property
+    def distinct(self) -> int:
+        """Distinct values of the sum: its size."""
+        return self.sum_size
 
 
 @dataclass(frozen=True)
@@ -851,7 +855,6 @@ def sweep(
             rec = SweepRecord(
                 lam,
                 dim.alpha_float,
-                len(S),
                 len(S),
                 col.energy,
                 col.cs_bound,

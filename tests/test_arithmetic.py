@@ -65,12 +65,12 @@ def _dict_histogram(E, F, lam):
 
 
 @contextmanager
-def _routes_taken(pair_bytes=None):
+def _routes_taken():
     """Record which engine routes run and how many sorts the sorted route
-    makes, optionally with its chunks sized for pair_bytes per pair."""
+    makes."""
     taken = SimpleNamespace(routes=[], sorts=0)
     saved = {name: getattr(arith, name) for name in
-             ("_SORT_PAIR_BYTES", "_dense_histogram", "_sorted_histogram", "_sorted_runs")}
+             ("_dense_histogram", "_sorted_histogram", "_sorted_runs")}
 
     def spy(name):
         def wrapper(*args):
@@ -85,8 +85,6 @@ def _routes_taken(pair_bytes=None):
     arith._dense_histogram = spy("_dense_histogram")
     arith._sorted_histogram = spy("_sorted_histogram")
     arith._sorted_runs = count_sort
-    if pair_bytes is not None:
-        arith._SORT_PAIR_BYTES = pair_bytes
     try:
         yield taken
     finally:
@@ -94,52 +92,33 @@ def _routes_taken(pair_bytes=None):
             setattr(arith, name, value)
 
 
-def _chunk_pair_bytes(rows, E, F, lam):
-    """A _SORT_PAIR_BYTES that cuts the sorted route of E x floor(lam*F)
-    into chunks of the given number of rows, within the default budget:
-    each row of the shorter operand then takes about 2/(2 rows + 1) of it."""
-    cols = min(len(E), len(floor_scale(F, lam)))
-    return 2 * arith._BYTE_BUDGET // ((2 * rows + 1) * cols)
-
-
-def _sorts(rows, E, F, lam):
-    """Sorts of the sorted route in chunks of rows rows: one per chunk and
-    the merge of the parts when there are several."""
-    chunks = -(-max(len(E), len(floor_scale(F, lam))) // rows)
-    return chunks + (chunks > 1)
-
-
 def test_sumset_routes_agree():
-    # force each engine route and compare it to the dict oracle; chunks
-    # are forced by a larger sort cost per pair, not a smaller budget
+    # force each engine route and compare it to the dict oracle
     dense = (IntegerSet(range(0, 900, 7), "e7"), IntegerSet(range(0, 500, 3), "f3"))
     sparse = (IntegerSet(range(0, 9_000_000, 70_001), "e"), dense[1])
     big = (dense[0].shift(10**40), dense[1])
     big_sparse = (sparse[0].shift(10**40), dense[1])
     wide = (IntegerSet(range(0, 40 * 10**20, 10**20), "wide"), dense[1])
     cases = [
-        (dense, None, ["_dense_histogram"]),  # span below the pair count
-        (sparse, None, ["_sorted_histogram"]),  # span above the pair count: one sort
-        (sparse, 2, ["_sorted_histogram"]),  # chunks of two rows, merged
+        (dense, ["_dense_histogram"]),  # span below the pair count
+        (sparse, ["_sorted_histogram"]),  # span above the pair count
         # beyond int64, object dtype takes the same routes
-        (big, None, ["_dense_histogram"]),
-        (big_sparse, None, ["_sorted_histogram"]),
-        # a span of 2**62 or more: Python-int sums, in one sort or a row per chunk
-        (wide, None, ["_sorted_histogram"]),
-        (wide, 1, ["_sorted_histogram"]),
+        (big, ["_dense_histogram"]),
+        (big_sparse, ["_sorted_histogram"]),
+        # a span of 2**62 or more: Python-int sums
+        (wide, ["_sorted_histogram"]),
     ]
-    for (E, F), rows, route in cases:
+    for (E, F), route in cases:
         for lam in (Fr(1), Fr(5, 2), Fr(1, 3)):  # 1/3: duplicate floors
             oracle = _dict_histogram(E, F, lam)
             operands = (E._array(), F._array())
             before = [a.copy() for a in operands]
-            pair_bytes = rows and _chunk_pair_bytes(rows, E, F, lam)
-            with _routes_taken(pair_bytes) as taken:
+            with _routes_taken() as taken:
                 values, counts = grid_histogram(E, F, lam)
                 assert sum_scaled(E, F, lam).elements == tuple(oracle)
             assert taken.routes == route * 2
-            if rows:
-                assert taken.sorts == 2 * _sorts(rows, E, F, lam) > 2
+            # the sorted route makes one sort per grid, the dense route none
+            assert taken.sorts == 2 * (route == ["_sorted_histogram"])
             assert dict(zip(values.tolist(), counts.tolist())) == oracle
             assert counts.dtype == np.min_scalar_type(len(F))
             # the values are shifted in place: never in an operand's memory
@@ -159,6 +138,38 @@ def test_grid_histogram_refuses_counters_over_budget(monkeypatch):
         with _routes_taken() as taken, pytest.raises(SizeGuardError, match=message):
             grid_histogram(E, F, lam)
         assert taken.routes == []  # refused before either route allocates
+
+
+_F_1200 = IntegerSet(range(1200), "f1200")  # 400 floors, each 3 times, at lam = 1/3
+
+
+@pytest.mark.parametrize("E", [
+    IntegerSet(range(0, 400 * 10**4, 10**4), "int64"),
+    IntegerSet(range(10**30, 10**30 + 400 * 10**4, 10**4), "narrow"),  # object, int64 sums
+    IntegerSet(range(0, 400 * 10**20, 10**20), "wide"),  # object sums: span past 2**62
+], ids=lambda E: E.provenance)
+def test_sorted_route_fits_its_charge(monkeypatch, E):
+    # 160,000 distinct sums with weights, so every entry of the one sort
+    # is live at its peak; the budget is the route's charge, to the byte
+    lam = Fr(1, 3)
+    oracle = _dict_histogram(E, _F_1200, lam)
+    pairs, c = len(E) * 400, np.min_scalar_type(len(_F_1200)).itemsize
+    extra = arith._object_bytes(E._array().dtype, min(oracle), max(oracle))
+    charge = pairs * (3 * (8 + c) + 16 + extra)
+    monkeypatch.setattr(arith, "_BYTE_BUDGET", charge - 1)
+    with pytest.raises(SizeGuardError, match=rf"\({pairs} pairs, {charge} bytes > {charge - 1}\)"):
+        grid_histogram(E, _F_1200, lam)
+    monkeypatch.setattr(arith, "_BYTE_BUDGET", charge)
+    with _routes_taken() as taken:
+        tracemalloc.start()
+        try:
+            values, counts = grid_histogram(E, _F_1200, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert taken.routes == ["_sorted_histogram"] and taken.sorts == 1
+    assert peak <= charge + (16 << 10), (charge, peak)
+    assert dict(zip(values.tolist(), counts.tolist())) == oracle
 
 
 class _AddAtSpy:
@@ -217,14 +228,12 @@ _value = st.one_of(
         st.fractions(min_value=Fr(1, 50), max_value=Fr(1)),  # duplicate floors
         st.fractions(min_value=Fr(1, 10**6), max_value=Fr(10**3), max_denominator=10**15),
     ),
-    st.sampled_from([None, 2, 1]),  # rows per chunk: one sort, two rows, one row
 )
-def test_grid_histogram_matches_dict(xs, ys, lam, rows):
+def test_grid_histogram_matches_dict(xs, ys, lam):
     E, F = IntegerSet(xs, "e"), IntegerSet(ys, "f")
-    with _routes_taken(rows and _chunk_pair_bytes(rows, E, F, lam)) as taken:
+    with _routes_taken() as taken:
         values, counts = grid_histogram(E, F, lam)
-    if rows and taken.routes == ["_sorted_histogram"]:
-        assert taken.sorts == _sorts(rows, E, F, lam)
+    assert taken.sorts == (taken.routes == ["_sorted_histogram"])
     oracle = _dict_histogram(E, F, lam)
     assert dict(zip(values.tolist(), counts.tolist())) == oracle
     assert list(values.tolist()) == list(oracle)
