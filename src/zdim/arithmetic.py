@@ -13,15 +13,36 @@ increasing order and the number of grid points on each.  ``sumset`` and
 The route is chosen from the value span and the pair count alone:
 
 - dense accumulation, when the value span is at most the number of
-  pairs: for each element ``shift`` of the shorter of E and the distinct
-  floors of lam*F, the longer one is added by an unbuffered ``np.add.at``
-  into the counters from ``shift`` on;
+  pairs: E is first split into its arithmetic-progression factors,
+  E = T + {0, d, ..., (k - 1)*d} + ..., each element one sum only; for
+  each element ``shift`` of the shorter of T and the distinct floors of
+  lam*F, the longer one is added by an unbuffered ``np.add.at`` into
+  the counters from ``shift`` on, and each factor (d, k) is then folded
+  in, ``acc[x] <- sum of acc[x - j*d] over j < k``, by about log2(k)
+  passes over the span;
 - sorted outer sum: the outer sums in one sort, counted run by run.
+
+The factors are peeled from E's offsets while one of the 8 smallest
+distinct gaps d gives k > 1, where k is the gcd of the lengths of the
+maximal runs of step d in each residue class mod d and T every k-th
+element of each run.  A step is first tested on a sample of E: a sampled
+element with neither x - d nor x + d in E rules it out for certain, and
+fewer than a quarter with x + d (a factor puts half of E there) rules it
+out at the risk of a false rejection, which only costs speed.  So a set
+with no factor costs a few searches per step, never a sort, and is
+counted by the scatter alone.  The fold doubles along the bits of k, in
+place from the top down; every pass leaves the histogram of the grid
+over part of E, so no count passes |F| and the counters' dtype is exact.
 
 Each route states its whole peak, working memory and result, to
 ``_refuse_over_budget``, the one check against the byte budget
 ``_BYTE_BUDGET`` (delta_exact's events use it too), which refuses with
-SizeGuardError before a grid-sized array exists.
+SizeGuardError before a grid-sized array exists.  Below a span of 2**62
+both are charged the operands' relative int64 copies (8 bytes per
+element, and a Python int more per element of an object operand); the
+dense route also the factor peel, _FACTOR_BYTES per element of E (at
+least of one sample), and ``8 + 2c`` bytes per value of the span for
+c-byte counters, which the fold's copy of the counters fits within.
 
 The dtype only picks the array type.  E and the floors of lam*F are
 int64 arrays, or object arrays of Python ints when they leave int64, and
@@ -41,6 +62,7 @@ otherwise.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,6 +75,10 @@ from .intset import _INT64_LIMIT, IntegerSet, _run_starts
 
 _BYTE_BUDGET = 150_000_000  # working memory of one array route, in bytes
 _ENERGY_CHUNK = 1 << 16  # counts squared per int64 copy in grid_energy
+_FACTOR_STEPS = 8  # candidate steps of a progression factor: the smallest distinct gaps
+_FACTOR_SAMPLE = 1024  # elements that test a step before its full test
+_FACTOR_BYTES = 40  # per element of E (at least of one sample): the factor peel at its peak
+_FOLD_BLOCK = 1 << 16  # counters per add of a doubling pass of the fold
 
 
 class SizeGuardError(ValueError):
@@ -132,8 +158,126 @@ def _object_bytes(dtype, *ends: int) -> int:
     return 8 + -(-max(sys.getsizeof(e) for e in ends) // 16) * 16
 
 
+def _candidate_steps(x):
+    """The _FACTOR_STEPS smallest distinct gaps of sorted, duplicate-free x."""
+    gaps = np.diff(x)
+    gaps.sort()
+    steps, i = [], 0
+    while i < len(gaps) and len(steps) < _FACTOR_STEPS:
+        steps.append(int(gaps[i]))
+        i = int(np.searchsorted(gaps, gaps[i], side="right"))
+    return steps
+
+
+def _members(x, v):
+    """Whether each of v lies in sorted x."""
+    i = np.searchsorted(x, v)
+    np.minimum(i, len(x) - 1, out=i)
+    return x[i] == v
+
+
+def _sampled_out(x, sample, d):
+    """True when sample (drawn from x) rules out a factor of step d.
+
+    A factor (d, k), k >= 2, makes every maximal run of step d a multiple
+    of k long: an element of the sample with neither x - d nor x + d in x
+    rules it out for certain.  It also puts x + d in x for at least half
+    of x: fewer than a quarter of the sample rules it out, a rejection
+    that may be false and then only costs speed.
+    """
+    up = _members(x, sample + d)
+    return not (up | _members(x, sample - d)).all() or 4 * int(up.sum()) < len(sample)
+
+
+def _peel(x, d):
+    """(T, k): sorted x as T + {0, d, ..., (k - 1)*d}, each element one sum only.
+
+    k is the gcd of the lengths of the maximal runs of step d within the
+    residue classes mod d, and T every k-th element of each run, so each
+    run is a row of blocks of k; k = 1 means no factor of step d.  x lies
+    in [0, span) of a dense grid, so the keys stay far inside int64.
+    """
+    m = int(x[-1]) // d + 2  # above every quotient + 1: no run crosses classes
+    key = x % d
+    key *= m
+    key += x // d
+    key.sort()  # by class, then quotient: runs of step d are runs of step 1
+    # the gcd of the run lengths is that of their running sums: the ends
+    ends = np.flatnonzero(np.diff(key) != 1)
+    ends += 1
+    k = math.gcd(len(key), int(np.gcd.reduce(ends)))
+    del ends
+    if k == 1:
+        return x, 1
+    # every run is a multiple of k long, so blocks start at every k-th key
+    t = key[::k] % m
+    t *= d
+    t += key[::k] // m
+    t.sort()
+    return t, k
+
+
+def _progression_factors(x):
+    """(T, factors): sorted, duplicate-free x as T + {0, d, ..., (k - 1)*d} + ...
+    over the factors (d, k), peeled while one of the _FACTOR_STEPS
+    smallest gaps of what is left gives k > 1.
+
+    Each element of x is one sum only.  A step is tested on a sample of
+    _FACTOR_SAMPLE elements first, so a set with no factor costs a few
+    searches per step rather than a sort.
+    """
+    factors = []
+    while True:
+        sample = x
+        if len(x) > _FACTOR_SAMPLE:
+            # spread by a golden-ratio stride, with no random state to import
+            stride = int(len(x) * 0.6180339887) | 1
+            sample = x[np.arange(_FACTOR_SAMPLE) * stride % len(x)]
+            sample.sort()  # sorted, the searches run faster
+        for d in _candidate_steps(x):
+            if _sampled_out(x, sample, d):
+                continue
+            t, k = _peel(x, d)
+            if k > 1:
+                factors.append((d, k))
+                x = t
+                break
+        else:
+            return x, factors
+
+
+def _fold(acc, factors):
+    """acc[x] <- the sum of acc[x - j*d] over j < k, for each factor (d, k).
+
+    By doubling, along the bits of k: the fold over j < 2m adds the fold
+    over j < m shifted by m*d, and the fold over j < m + 1 adds the
+    unfolded counters shifted by m*d; about log2(k) passes over the span,
+    plus one per other set bit of k, which needs a copy of the unfolded
+    counters.  A doubling pass runs in place, in blocks of _FOLD_BLOCK
+    from the top down, so each block reads counters not yet added to.
+    Each pass leaves the histogram of the grid over part of E, each
+    element one sum, so no count passes |F|: the adds stay in the
+    counters' dtype and never wrap.
+    """
+    span = len(acc)
+    for d, k in factors:
+        unfolded = acc.copy() if k & (k - 1) else None
+        m = 1
+        for bit in bin(k)[3:]:
+            s = m * d  # m*d <= (k - 1)*d < span
+            for top in range(span, s, -_FOLD_BLOCK):
+                low = max(top - _FOLD_BLOCK, s)
+                np.add(acc[low:top], acc[low - s : top - s], out=acc[low:top])
+            m *= 2
+            if bit == "1":
+                np.add(acc[m * d :], unfolded[: span - m * d], out=acc[m * d :])
+                m += 1
+
+
 def _dense_histogram(xe, uf, mult, span, cdtype):
-    # operands start at 0, so every sum indexes the span
+    # operands start at 0, so every sum indexes the span; E's progression
+    # factors are folded in after the scatter of what is left of E
+    xe, factors = _progression_factors(xe)
     acc = np.zeros(span, dtype=cdtype)
     one = cdtype.type(1)
     if len(xe) <= len(uf):
@@ -147,17 +291,13 @@ def _dense_histogram(xe, uf, mult, span, cdtype):
         # scalars): a Python int or a wider array takes numpy's generic
         # loop, 20-30x slower
         np.add.at(acc[shift:], base, w)
+    if factors:
+        _fold(acc, factors)  # its scratch copy is freed before the nonzero scan
     nz = np.flatnonzero(acc)
     return nz, acc[nz]
 
 
-def _sorted_histogram(xe, uf, mult, cdtype, extra):
-    pairs = len(xe) * len(uf)
-    # one sort of an entry (value and count) per pair bounds the route:
-    # three copies of each entry (sums, sorted gather, runs), the order
-    # and the run starts
-    per = 3 * (8 + cdtype.itemsize) + 16 + extra
-    _refuse_over_budget("grid histogram too large", pairs, "pairs", per, "restrict windows")
+def _sorted_histogram(xe, uf, mult, cdtype):
     vals = (xe[:, None] + uf[None, :]).ravel()
     weights = None if mult is None else np.tile(mult, len(xe))
     values, counts = _sorted_runs(vals, weights)
@@ -186,19 +326,36 @@ def grid_histogram(E: IntegerSet, F: IntegerSet, lam) -> tuple[np.ndarray, np.nd
     span = int(xe[-1]) + int(uf[-1]) - lo + 1
     dtype = np.result_type(xe, uf)  # of the values: object when an operand is
     extra = _object_bytes(dtype, lo, lo + span - 1)
-    if span >= _INT64_LIMIT:
+    pairs = len(xe) * len(uf)
+    narrow = span < _INT64_LIMIT
+    # below a span of 2**62 the routes run on int64 copies of the operands
+    # relative to their first elements; an object operand's copy passes
+    # through a Python int of up to span per element
+    base = sum(len(a) * (8 + _object_bytes(a.dtype, span)) for a in (xe, uf)) if narrow else 0
+    dense = narrow and span <= pairs
+    hint = "restrict windows"
+    if dense:
+        # the factor peel's arrays, then the counters, at most span nonzero
+        # indices, counts and values; the fold's copy of the counters and
+        # its block temporaries come and go before the indices and counts
+        per = 8 + 2 * cdtype.itemsize + extra
+        base += _FACTOR_BYTES * max(len(xe), _FACTOR_SAMPLE)
+        _refuse_over_budget("grid histogram too large", span, "counters", per, hint, base)
+    else:
+        # one sort of an entry (value and count) per pair: three copies of
+        # each entry (sums, sorted gather, runs), the order and the run starts
+        per = 3 * (8 + cdtype.itemsize) + 16 + extra
+        _refuse_over_budget("grid histogram too large", pairs, "pairs", per, hint, base)
+    if not narrow:
         # sums of int64 operands stay in int64; object ones stay Python ints
-        return _sorted_histogram(xe, uf, mult, cdtype, extra)
+        return _sorted_histogram(xe, uf, mult, cdtype)
     # relative to their first elements, operands and sums lie in [0, span)
     xe = (xe - xe[0]).astype(np.int64, copy=False)
     uf = (uf - uf[0]).astype(np.int64, copy=False)
-    if span <= len(xe) * len(uf):
-        # the counters, then at most span nonzero indices, counts and values
-        per = 8 + 2 * cdtype.itemsize + extra
-        _refuse_over_budget("grid histogram too large", span, "counters", per, "restrict windows")
+    if dense:
         values, counts = _dense_histogram(xe, uf, mult, span, cdtype)
     else:
-        values, counts = _sorted_histogram(xe, uf, mult, cdtype, extra)
+        values, counts = _sorted_histogram(xe, uf, mult, cdtype)
     # values is the route's own array (no operand's): shift it in place
     values = values.astype(dtype, copy=False)
     values += lo

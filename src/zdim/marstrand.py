@@ -46,7 +46,12 @@ from .intset import _INT64_LIMIT, IntegerSet, Interval
 from .measures import ScanSchedule, dimension_estimate
 
 _DELTA_CHUNK = 4096  # route one: cells per chunk, and slope pairs per row group
-_BAND_BYTES = 48  # per difference of a _band_histogram chunk: its indices, gathers and sort
+# _band_histogram: per difference of a chunk (its indices, gathers and
+# sort, 48 bytes, or as a distinct one, its merge), and per value of the
+# running histogram (values and counts, 16 bytes, and the merge: the
+# concatenation, the order and the sorted gather, 64 bytes)
+_BAND_BYTES = 80
+_BAND_HELD_BYTES = 80
 _QUAD_BLOCK = 128  # events applied at once by _delta_quadrature's block update
 _QUAD_ROWS = 128  # longer rows go one event at a time (_quad_events)
 
@@ -260,25 +265,38 @@ def _band_histogram(xs: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]
     inside the band are made: for each a, the a' >= a up to a + bound end
     at a searchsorted rank, and their differences are generated by
     ragged arange in chunks of whole rows and counted by sorting, so 0
-    counts |E|.  A chunk holds as many pairs as arithmetic._BYTE_BUDGET,
-    read at call time, allows at _BAND_BYTES each, plus, for object
+    counts |E|.  Each chunk's histogram is merged into a running one.
+    A chunk holds as many differences as arithmetic._BYTE_BUDGET, read
+    at call time, leaves beside the running histogram, at _BAND_BYTES per
+    difference and _BAND_HELD_BYTES per value held, plus, for object
     differences, what arithmetic._object_bytes charges a new Python int
-    up to bound.  No negative
-    difference is needed: for b' < b and lam > 0 the floor gap
-    floor(lam*b) - floor(lam*b') is at least 0.
+    up to bound; the band is refused when the running histogram leaves
+    no room.  A chunk always holds one whole row, at most |E|
+    differences.  No negative difference is needed: for b' < b and
+    lam > 0 the floor gap floor(lam*b) - floor(lam*b') is at least 0.
     """
     if xs.dtype != object and bound >= _INT64_LIMIT:
         xs = xs.astype(object)  # a + bound may leave int64
     lens = np.searchsorted(xs, xs + bound, side="right") - np.arange(len(xs))
-    per = _BAND_BYTES + arithmetic._object_bytes(xs.dtype, bound)
-    groups = _row_groups(lens, arithmetic._BYTE_BUDGET // per)
-    parts = []
-    for rows, t in groups:
-        parts.append(_sorted_runs(xs[rows + t] - xs[rows]))
-        del rows, t  # before the next chunk's are made
-    if len(parts) == 1:
-        return parts[0]
-    return _sorted_runs(*(np.concatenate(p) for p in zip(*parts)))
+    obj = arithmetic._object_bytes(xs.dtype, bound)
+    per, held_per = _BAND_BYTES + obj, _BAND_HELD_BYTES + obj
+    values, counts = xs[:0], None
+    first = 0  # the first row left
+    while first < len(lens):
+        _refuse_over_budget(
+            "difference band too large", len(values), "kept differences", held_per,
+            "narrow the lambda window", base=per,
+        )
+        room = (arithmetic._BYTE_BUDGET - len(values) * held_per) // per
+        rows, t = next(_row_groups(lens[first:], room))
+        rows += first
+        first = int(rows[-1]) + 1
+        part = _sorted_runs(xs[rows + t] - xs[rows])
+        del rows, t  # before the merge
+        if len(values):
+            part = _sorted_runs(np.concatenate((values, part[0])), np.concatenate((counts, part[1])))
+        values, counts = part
+    return values, counts
 
 
 def _row_groups(lens, limit):

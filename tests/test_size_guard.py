@@ -7,14 +7,17 @@ peak within the budget.  Both allow SLACK bytes for what no guard
 charges: the copies of the operands, Python objects and small
 temporaries.  An accepted delta_exact allows DELTA_SLACK bytes, with
 its fixed working sets shrunk (see its test).  Route one's band of
-differences, which no guard refuses, is chunked to fit the budget plus
-SLACK, on int64 and big-integer elements alike.  The inputs stay small,
+differences is chunked to fit the budget plus SLACK beside its running
+histogram, and refused when that histogram leaves no room, on int64 and
+big-integer elements alike.  The inputs stay small,
 so no example allocates more than a few MB even if a guard were missing.
 """
 
 import tracemalloc
 from fractions import Fraction as Fr
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import zdim.arithmetic as arithmetic
@@ -155,3 +158,24 @@ def test_object_band_fits_the_budget(monkeypatch):
     assert values.tolist() == list(range(0, 10**5 + 1, 1000))
     assert counts.tolist() == [3000 - k for k in range(101)]
     assert peak <= budget + SLACK, peak
+
+
+def test_band_running_histogram_fits_the_budget(monkeypatch):
+    # about 500,000 differences of up to 1000 values, over many chunks at
+    # this budget: the running histogram is charged beside each chunk
+    # (each chunk's kept part passed the budget by about 100 KB before)
+    budget = 1 << 20
+    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", budget)
+    tracemalloc.start()
+    try:
+        values, counts = marstrand._band_histogram(np.arange(1000), 999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.tolist() == list(range(1000))
+    assert counts.tolist() == [1000 - k for k in range(1000)]
+    assert peak <= budget + SLACK, peak
+    # a budget the running histogram of 1000 values fills is refused
+    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", 1000 * marstrand._BAND_HELD_BYTES)
+    with pytest.raises(SizeGuardError, match=r"difference band too large \(1000 kept differences"):
+        marstrand._band_histogram(np.arange(1000), 999)
