@@ -4,7 +4,7 @@ Subcommands construct sets, measure them, form sums, run the thinning
 and regularity diagnostics, and drive collision experiments.  All
 exact quantities are emitted as "p/q" strings; reports are
 deterministic given identical inputs and seeds.  ``main`` builds the
-arguments of the subcommand it runs alone, times each run, and
+subparser of the subcommand it runs alone, times each run, and
 --manifest records its config (every option of the subcommand except
 --json, --force and --manifest) with the config hash, the digests of
 the files the run actually read and wrote, and the wall time.
@@ -649,17 +649,23 @@ _SUBCOMMANDS = {
 def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     """The zdim parser, with every subcommand's arguments.
 
-    Given ``only``, the subcommand of that name alone gets its arguments
-    ("" or an unknown name: none does).  Every subparser exists with its
-    help line either way, so the top-level help and usage are the same.
+    Given the name of a subcommand as ``only``, that subcommand alone is
+    built, with its arguments; given "" or another token, every
+    subcommand is built with its help line and no arguments.  The list
+    of subcommands in the usage line is the full one either way, so
+    help, usage and error texts read the same.
     """
     top = argparse.ArgumentParser(
         prog="zdim",
         description="Integer-set dimension and arithmetic-sum experiments.",
     )
     top.add_argument("--version", action="version", version=f"zdim {__version__}")
-    subs = top.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_args) in _SUBCOMMANDS.items():
+    subs = top.add_subparsers(
+        dest="command", required=True, metavar="{" + ",".join(_SUBCOMMANDS) + "}"
+    )
+    names = [only] if only in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    for name in names:
+        help_line, add_args = _SUBCOMMANDS[name]
         sub = subs.add_parser(name, help=help_line)
         if only is None or only == name:
             add_args(sub)
@@ -671,7 +677,7 @@ def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the first token names the subcommand; only its arguments are built
+    # the first token names the subcommand; only its subparser is built
     args = build_parser(argv[0] if argv else "").parse_args(argv)
     t0 = time.monotonic()
     args._inputs, args._outputs = [], []

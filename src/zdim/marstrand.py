@@ -53,6 +53,11 @@ _DELTA_CHUNK = 4096  # route one: cells per chunk, and slope pairs per row group
 _BAND_BYTES = 80
 _BAND_HELD_BYTES = 80
 _QUAD_BLOCK = 128  # events applied at once by _delta_quadrature's block update
+# delta_exact's charges for the fixed working sets: per cell of route
+# one's chunk (its int64 arrays; an object cell also holds Python ints),
+# and per member of route two's block (its keys, sort order and runs)
+_CELL_BYTES = 256
+_MEMBER_BYTES = 128
 _QUAD_ROWS = 128  # longer rows go one event at a time (_quad_events)
 
 
@@ -514,8 +519,10 @@ def delta_exact(
 
     Route two holds arrays of one entry per breakpoint event k/|b| and
     its counters (_quad_rows), so a window whose events at 64 bytes each
-    and counters at 8 pass the byte budget is refused before either route
-    allocates more than arrays of one entry per pair.
+    and counters at 8, with route one's chunk of cells at _CELL_BYTES
+    each (plus Python ints for object cells) and route two's block at
+    _MEMBER_BYTES per member, pass the byte budget is refused before
+    either route allocates more than arrays of one entry per pair.
     """
     if len(E) == 0 or len(F) == 0:
         raise ValueError("empty set")
@@ -527,21 +534,40 @@ def delta_exact(
         )
     lo, hi = window.lo, window.hi
     fvals = F.elements
+    n = len(E)
+    bmax = max(abs(fvals[0]), abs(fvals[-1]))
+    den = _lcm(lo.denominator, hi.denominator)
+    # int64 cell terms when a bound on every product (see below) fits
+    fits = (
+        2 * max(hi, 1) * bmax**2 * den * n < _INT64_LIMIT
+        and len(fvals) ** 2 // 4 * (n * (n + 1) // 2) < _INT64_LIMIT
+    )
     # Route two keeps at most eight 8-byte entries per event alive (owner,
     # rank, k, its float key, the order, then dN and the factors of k*dN)
-    # and an int64 counter per value a + floor(lam*b).  The events are
-    # charged first: past them the counters' layout may not fit int64
+    # and an int64 counter per value a + floor(lam*b).  Both routes also
+    # hold a working set of fixed size: route one a chunk of at most
+    # _DELTA_CHUNK cells, fewer when the pairs of slopes have fewer (at
+    # most min(|b|, |b'|)*(hi - lo) + 2 cells each), and route two a block
+    # of 2|E| members per event it applies at once (_QUAD_BLOCK events, or
+    # one past _QUAD_ROWS).  The events are charged first: past them the
+    # counters' layout may not fit int64
     events = sum(math.ceil(hi * m) - math.floor(lo * m) - 1 for m in map(abs, fvals) if m)
+    slopes = sorted(map(abs, fvals))
+    k = len(slopes)
+    most = math.ceil((hi - lo) * sum(m * (k - 1 - i) for i, m in enumerate(slopes)))
+    cells = min(_DELTA_CHUNK, most + k * (k - 1))
+    big = math.ceil(2 * max(hi, 1) * bmax**2 * den * n)  # bounds an object cell's ints
+    cell_bytes = _CELL_BYTES + (0 if fits else 8 * arithmetic._object_bytes(object, big))
+    block = min(_QUAD_BLOCK, events) if n <= _QUAD_ROWS else 1
+    fixed = cells * cell_bytes + 2 * n * block * _MEMBER_BYTES
     what, unit, hint = "delta window too wide", "breakpoint events", "narrow the lambda window"
-    _refuse_over_budget(what, events, unit, 64, hint)
+    _refuse_over_budget(what, events, unit, 64, hint, base=fixed)
     layout = _quad_rows(E, F, window)
-    _refuse_over_budget(what, events, unit, 64, hint, base=8 * layout[-1])
+    _refuse_over_budget(what, events, unit, 64, hint, base=fixed + 8 * layout[-1])
     total = Fraction(pairs) * window.measure  # z == z' diagonal
     positive = pairs
     breakpoints = 0
     if len(fvals) > 1:  # the differences are read per pair of slopes only
-        bmax = max(abs(fvals[0]), abs(fvals[-1]))
-        den = _lcm(lo.denominator, hi.denominator)
         gap_bound = math.floor(2 * bmax * hi) + 1  # 0 <= g < lam*(b - b') + 1
         # Coarse cells: grids are at most G = bmax**2 * den, steps at most
         # max(hi, 1)*G (a zero slope's cell is [0, nhi)), the ends i*c + c
@@ -563,11 +589,6 @@ def delta_exact(
         # to at most 2*|E|*B*(B*(hi - lo) + 1) < 1.4*K, as n_B(x) + n_B(y)
         # + 1 <= 2B and B has at most B*(hi - lo) + 1 cuts; so do 2S's.
         # The numerators of different pairs are added in Python ints.
-        n = len(E)
-        fits = (
-            2 * max(hi, 1) * bmax**2 * den * n < _INT64_LIMIT
-            and len(fvals) ** 2 // 4 * (n * (n + 1) // 2) < _INT64_LIMIT
-        )
         dtype = np.int64 if fits else object
         values, counts = _band_histogram(E._array(), gap_bound)
         values = np.append(values.astype(dtype), gap_bound + 1)  # the sentinel

@@ -31,12 +31,16 @@ deterministic.
 
 The first pass reads each diagonal's gaps as differences of the offsets
 x_i - x_0.  When their span is below 2**62 the offsets are int64, for
-big-integer sets too.  A wider span, which only object arrays have, is
-read on two copies: uint64 residues mod 2**64, exact for every gap below
-2**64, and float64 offsets, which put each gap within 3 * 2**-53 * span
-and flag the windows that may reach 2**62 (all of them, as inf or nan,
-past float range).  A diagonal whose least gap and the float-rounding
-band above it lie among unflagged windows is scored in uint64 alone.
+big-integer sets too, and the least gaps of whole blocks of diagonals
+come from one window view of the offsets, in int32 when the span is
+below 2**30, written into one buffer of about 2**17 entries per call,
+so memory stays O(rows) plus that buffer.  A wider span, which only
+object arrays have, is read one diagonal at a time on two copies:
+uint64 residues mod 2**64, exact for every gap below 2**64, and float64
+offsets, which put each gap within 3 * 2**-53 * span and flag the
+windows that may reach 2**62 (all of them, as inf or nan, past float
+range).  A diagonal whose least gap and the float-rounding band above
+it lie among unflagged windows is scored in uint64 alone.
 The others are deferred: once the rest have set the best score, each is
 scanned on Python ints only while the score at a float lower bound on
 its length, with a margin for rounding, can still reach the near-tie
@@ -50,6 +54,7 @@ spanning the full hull are never lost to subsampling.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -57,6 +62,7 @@ from math import isqrt
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exact import EXACT_DEN_LIMIT, cmp_ratio, exact_feasible, ratio_value
 from .intset import _INT64_LIMIT, IntegerSet, Interval
@@ -64,6 +70,7 @@ from .intset import _INT64_LIMIT, IntegerSet, Interval
 # scans of object arrays (elements beyond int64) get a tighter cap
 _PY_BUDGET = 2_000_000
 _MAX_CANDIDATES = 50_000
+_SCAN_BLOCK = 1 << 17  # entries of the first pass's block of diagonals
 _FLOAT_OVERFLOW = (1 << 1024) - (1 << 970)  # least int that float() rounds to 2**1024
 _UINT64_MASK = (1 << 64) - 1
 
@@ -175,6 +182,58 @@ def _as_float(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _least_gaps(off: np.ndarray, first: int, step: int, min_length: int) -> np.ndarray:
+    """Least gap of each diagonal d >= first of the int64 offsets off,
+    among its windows at least min_length long, as _window_scan counts
+    them (diagonal d holds d * step + 1 elements); -1 where none is that
+    long, and for d < first.
+
+    Blocks of diagonals d0 <= d < d1 are read at once from a window view
+    of the offsets padded with a sentinel top: row d - d0 and column i of
+    the block hold off[i + d] - off[i], or top - off[i] past the end of
+    the offsets.  A pad exceeds every gap, which is at most the span,
+    since top >= 2 * span + 1; spans below 2**30 run on int32, halving
+    the memory traffic.  A block holds about _SCAN_BLOCK entries, at
+    least one diagonal, and every block is written into one buffer made
+    once per call.  A diagonal holding fewer than min_length elements
+    keeps only the windows of float length at least min_length, the
+    gaps of at least thr: its row is shifted down by thr, so in unsigned
+    view the windows it drops lie above all the others, and a least
+    entry past span - thr is a pad or a dropped window, so no window is
+    that long.
+    """
+    u = len(off)
+    g = np.full(u, -1, dtype=np.int64)
+    span = int(off[-1])
+    dt, udt = (np.int32, np.uint32) if span < 1 << 30 else (np.int64, np.uint64)
+    top = np.iinfo(dt).max
+    pad = np.full(2 * u, top, dtype=dt)
+    pad[:u] = off
+    short = -(-(min_length - 1) // step)  # diagonals below it hold fewer than min_length
+    # the least gap whose float length reaches min_length: exact below 2**53
+    thr = min_length - 1
+    if short > first and min_length > 2**53:
+        thr = bisect_left(
+            range(span + 1), True, key=lambda v: bool(_as_float(np.array([v + 1])) >= min_length)
+        )
+    win = sliding_window_view(pad, u)  # row d: the offsets from d on, then pads
+    buf = np.empty(max(u - first, min(_SCAN_BLOCK, (u - first) ** 2)), dtype=dt)
+    d0 = first
+    while d0 < u:
+        n = u - d0
+        d1 = min(u, d0 + max(1, _SCAN_BLOCK // n))
+        blk = buf[: (d1 - d0) * n].reshape(d1 - d0, n)
+        np.subtract(win[d0:d1, :n], pad[:n], out=blk)
+        k = min(max(short - d0, 0), d1 - d0)  # the block's short diagonals
+        if k and thr <= span:
+            np.subtract(blk[:k], thr, out=blk[:k])
+            m = blk[:k].view(udt).min(axis=1)
+            g[d0 : d0 + k] = np.where(m <= udt(span - thr), m.astype(np.int64) + thr, -1)
+        g[d0 + k : d1] = blk[k:].min(axis=1)
+        d0 = d1
+    return g
+
+
 def _window_scan(
     xs: np.ndarray,
     pos: list[int],
@@ -189,11 +248,13 @@ def _window_scan(
     last index appended.  score maps float64 (count, length) arrays to
     scores falling as the length grows; windows with fewer than min_count
     elements or shorter than min_length are left out.  Along a diagonal
-    d = j - i < u the count is d * step + 1, so the first pass scores, in
-    O(rows) memory, the shortest windows of each diagonal, those within
-    float rounding of them and the column ending at an appended index.
-    It takes the gaps from the offsets xs[i] - xs[pos[0]]: int64 below a
-    span of 2**62; past it, uint64 residues for the diagonals whose
+    d = j - i < u the count is d * step + 1, so the first pass scores
+    the shortest windows of each diagonal, those within float rounding
+    of them and the column ending at an appended index.  It takes the
+    gaps from the offsets xs[i] - xs[pos[0]]: below a span of 2**62 the
+    least gap of whole blocks of diagonals at once (_least_gaps), and
+    per diagonal only the gaps within float rounding of a least gap of
+    band or more; past it, uint64 residues for the diagonals whose
     shortest windows and rounding band the float offsets place below
     2**62, and Python ints, after the rest, for the deferred diagonals
     whose float lower bound on length can still reach near(best).  The
@@ -215,8 +276,7 @@ def _window_scan(
         counts, lens = counts.astype(np.float64), _as_float(lens)
         return np.where((counts >= min_count) & (lens >= min_length), score(counts, lens), -1.0)
 
-    # pass 1: gaps within (g + 1) // band of the least, g, are scored too, one
-    # diagonal at a time so memory stays O(rows)
+    # pass 1: gaps within (g + 1) // band of the least, g, are scored too
     s = score(np.full(2, 2.0), np.array([2.0**1000, 2.0**1001]))  # band: a fall of ~2**-44
     band = max(1, int((1 - s[1] / s[0]) * 2**44)) if s[1] < s[0] else 2**62  # flat: constant
 
@@ -242,9 +302,11 @@ def _window_scan(
     gmin, best_d = np.zeros(u, dtype=off.dtype), np.full(u, -1.0)  # gap 0 where skipped
     dd, low = [], []  # the diagonals left for later, and float lower bounds on their gaps
     if not wide:
-        for d in range(first, u):
-            if (got := least(d, off[d:] - off[: u - d])) is not None:
-                gmin[d], best_d[d] = got
+        g = _least_gaps(off, first, step, min_length)
+        np.maximum(g, 0, out=gmin)
+        # a band reaching past g may hold other gaps to score: per diagonal
+        for d in np.flatnonzero(g + 1 >= band).tolist():
+            gmin[d], best_d[d] = least(d, off[d:] - off[: u - d])
     else:
         # uint64 residues give every gap below 2**64 exactly.  The float
         # offsets give each gap within 3 * 2**-53 * span; at err = 2**-50 * span

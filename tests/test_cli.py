@@ -394,7 +394,10 @@ def test_lazy_parser_output_matches_full_build(capsys, monkeypatch):
     full = build_parser().parse_args
     cases = [["--help"], ["-h"], [], ["bogus"], ["--version"], ["--bogus"]]
     for command in _subparsers():
-        cases += [[command, "--help"], [command, "--no-such-option"]]
+        cases += [[command, "--help"], [command, "--no-such-option"], [command]]
+    # a valid subcommand line with an extra option: the top-level parser
+    # refuses it, with its own usage line naming every subcommand
+    cases.append(["scale", "a.zset", "--lambda", "2", "--out", "b.zset", "--bogus"])
     for argv in cases:
         want = _parse_output(capsys, full, argv)
         assert want[0] in (0, 2), argv
@@ -412,6 +415,10 @@ def test_lazy_parser_builds_one_subcommand():
         return {name for name, sub in _subparsers(parser).items() if len(sub._actions) > 1}
 
     assert built(build_parser()) == set(_SUBCOMMANDS)
+    # a subcommand's name builds that subparser alone; any other token
+    # builds every subparser, for the top-level help, without arguments
+    assert set(_subparsers(build_parser("diagnose"))) == {"diagnose"}
     assert built(build_parser("diagnose")) == {"diagnose"}
     for token in ("", "bogus", "-h", "--version"):
+        assert set(_subparsers(build_parser(token))) == set(_SUBCOMMANDS)
         assert built(build_parser(token)) == set()

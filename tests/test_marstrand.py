@@ -415,31 +415,42 @@ def test_slope_row_walks_difference_cells(monkeypatch, dtype):
     assert (weight, cuts) == (5, (N + 1) + (N - 1) - 1)
 
 
+def _fixed_charge(cells, members):
+    """delta_exact's charge for route one's chunk of int64 cells and
+    route two's block of members."""
+    return cells * marstrand._CELL_BYTES + members * marstrand._MEMBER_BYTES
+
+
 def test_delta_refuses_wide_windows_before_allocating(monkeypatch):
     # F = {3, 4} over (1, 2]: route two has 2 + 3 = 5 events of 64 bytes,
     # and 10 counters of 8 bytes, as the values a + floor(lam*b) of E = {0,
-    # 1, 5} run over [3, 12]
+    # 1, 5} run over [3, 12]; route one's chunk is charged at most
+    # 3 * (2 - 1) + 2 = 5 cells, and route two's block its 5 events of
+    # 2|E| = 6 members each
     calls = []
     for name in ("_band_histogram", "_delta_quadrature"):
         monkeypatch.setattr(marstrand, name, lambda *args, name=name: calls.append(name))
     E, F = IntegerSet([0, 1, 5], "e"), IntegerSet([3, 4], "f")
     w = LambdaWindow(Fr(1), Fr(2))
-    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", 5 * 64 + 10 * 8 - 1)
-    with pytest.raises(SizeGuardError, match=r"\(5 breakpoint events, 400 bytes > 399\)"):
+    charged = 5 * 64 + 10 * 8 + _fixed_charge(5, 30)
+    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", charged - 1)
+    message = rf"\(5 breakpoint events, {charged} bytes > {charged - 1}\)"
+    with pytest.raises(SizeGuardError, match=message):
         delta_exact(E, F, w)
     assert calls == []
     monkeypatch.undo()
-    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", 5 * 64 + 10 * 8)
+    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", charged)
     assert delta_exact(E, F, w).agreement
 
 
 def test_delta_charges_route_two_counters(monkeypatch):
     # one slope of 1000 over (1, 2] moves 1000 sparse values over 1000
     # counters each: 8 MB of counters for 999 events, 64 kB at 64 bytes
-    # an event
+    # an event; route two applies them one at a time (|E| > _QUAD_ROWS),
+    # 2|E| members, and one slope leaves route one no cell
     E = IntegerSet(range(0, 1000 * 10**6, 10**6), "sparse")
     F, w = IntegerSet([1000], "f"), LambdaWindow(Fr(1), Fr(2))
-    charged = 999 * 64 + 1000 * 1000 * 8
+    charged = 999 * 64 + 1000 * 1000 * 8 + _fixed_charge(0, 2000)
     tracemalloc.start()
     try:
         assert delta_exact(E, F, w).agreement
@@ -456,9 +467,10 @@ def test_delta_charges_route_two_counters(monkeypatch):
 def test_delta_charges_shared_counters(monkeypatch):
     # squares up to 40**2 over (1, 2]: 22,100 events, whose values
     # a + floor(lam*b) share 4796 counters, not |E| = 40 fresh ones per
-    # event (8.5 MB at 64 + 8|E| bytes an event)
+    # event (8.5 MB at 64 + 8|E| bytes an event); a full chunk of cells,
+    # and a full block of _QUAD_BLOCK events of 2|E| members each
     E, w = IntegerSet([k * k for k in range(1, 41)], "squares"), LambdaWindow(Fr(1), Fr(2))
-    charged = 22_100 * 64 + 4796 * 8
+    charged = 22_100 * 64 + 4796 * 8 + _fixed_charge(marstrand._DELTA_CHUNK, 128 * 80)
     monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", charged)
     assert delta_exact(E, E, w).agreement
     monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", charged - 1)

@@ -302,17 +302,31 @@ _WIDE = st.one_of(
     st.sampled_from([1, 2]),
     st.sampled_from([1, 2, 5, 30]),
     st.sampled_from([None, Fr(0), Fr(1, 10**9), Fr(1, 3), Fr(1, 2), Fr(1)]),
+    st.integers(1, 7),
 )
 # density ties 3/9 and 2/6, the latter on a diagonal whose shortest window
 # (length 4) is below min_length
-@example([2, 5, 10], False, 1, False, 1, 5, Fr(1))
+@example([2, 5, 10], False, 1, False, 1, 5, Fr(1), 3)
 # every window of diagonal 1 may pass 2**62: its least gap is unknown in the
 # first pass and must not score as a window of length 1
-@example([0, 2**63, 2**64], False, 1, False, 1, 1, Fr(1))
+@example([0, 2**63, 2**64], False, 1, False, 1, 1, Fr(1), 1)
 # the least gap of diagonal 1 lies below 2**62, but its float-rounding band
 # reaches the flagged window 2**62 + 5
-@example([0, 2**62 - 2**20, 2**63 - 2**20 + 5], False, 1, False, 2, 2, None)
-def test_window_scan_matches_row_scan(xs, big, step, append, min_count, min_length, alpha):
+@example([0, 2**62 - 2**20, 2**63 - 2**20 + 5], False, 1, False, 2, 2, None, 2)
+# offset spans just below, at and above 2**30, where the blocks of
+# diagonals leave int32: their pads must stay above every gap
+@example([0, 1, 2**29, 2**30 - 2, 2**30 - 1], False, 1, False, 1, 2, Fr(1, 2), 2)
+@example([0, 3, 2**29 + 1, 2**30], False, 1, False, 2, 2, None, 3)
+@example([0, 2, 2**30 - 7, 2**30 + 1], False, 1, True, 1, 30, Fr(1), 5)
+# diagonals 1 to 7 hold fewer than min_length elements and every one of
+# their windows is too short, so no pad may pass for a gap of theirs
+@example([0, 1, 2, 3, 4, 5, 6, 7, 30], False, 1, False, 1, 30, Fr(1), 4)
+@example(list(range(10)), False, 1, False, 1, 30, Fr(1), 7)
+# int64 gaps of about 2 * 10**10, past the dimension's float-rounding band
+# (about 1.8 * 10**10): those diagonals are scored one at a time
+@example([0, 2 * 10**10, 4 * 10**10 + 1, 6 * 10**10 + 3, 6 * 10**10 + 4], False, 1, False, 2,
+         2, None, 2)
+def test_window_scan_matches_row_scan(xs, big, step, append, min_count, min_length, alpha, block):
     E = IntegerSet(xs, "w")
     if big:
         E = E.shift(_SHIFT)
@@ -327,6 +341,10 @@ def test_window_scan_matches_row_scan(xs, big, step, append, min_count, min_leng
     assert as_tuples(_window_scan(*args)) == oracle
     with mock.patch.object(measures, "_MAX_CANDIDATES", 3):
         assert as_tuples(_window_scan(*args)) == (oracle[0][:3], oracle[1])
+    # blocks of 1 to 7 entries: a set crosses many blocks, the last ones
+    # holding several short diagonals and their pads
+    with mock.patch.object(measures, "_SCAN_BLOCK", block):
+        assert as_tuples(_window_scan(*args)) == oracle
 
 
 def test_wide_band_reaching_flagged_windows_is_deferred():
@@ -383,6 +401,35 @@ def test_long_jittered_gaps_stay_small():
             tracemalloc.stop()
         assert as_tuples(got) == row_scan(*args, cap=measures._MAX_CANDIDATES)
         assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("span, dtype", [(10**9, np.int32), (10**12, np.int64)])
+@pytest.mark.parametrize("min_length", [2, 10**6])
+def test_least_gaps_peak_within_one_block(span, dtype, min_length):
+    # 4000 rows, about 8 * 10**6 gaps: the first pass holds one block
+    # buffer of _SCAN_BLOCK entries and arrays of a few entries per row,
+    # never a second block's worth; numpy's ufunc iterator adds its own
+    # buffers of np.getbufsize() entries for the two inputs of the shorter
+    # diagonals' subtraction.  min_length 10**6 makes diagonals short
+    # and drops some of their windows
+    rng = np.random.default_rng(2)
+    off = np.unique(rng.integers(1, span, 4000))
+    off[0] = 0
+    itemsize = np.dtype(dtype).itemsize
+    buffer = measures._SCAN_BLOCK * itemsize
+    tracemalloc.start()
+    try:
+        g = measures._least_gaps(off, 1, 1, min_length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ufunc = 2 * np.getbufsize() * itemsize
+    assert buffer < peak <= buffer + ufunc + 40 * len(off), (peak, buffer)
+    # the row-by-row least gaps
+    for d in range(1, len(off), 397):
+        gaps = off[d:] - off[: len(off) - d]
+        gaps = gaps[gaps + 1 >= min_length]
+        assert g[d] == (gaps.min() if len(gaps) else -1)
 
 
 def fold_oracle(cands):

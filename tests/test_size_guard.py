@@ -5,12 +5,14 @@ with tracemalloc on.  Each call either raises SizeGuardError before its
 grid or event arrays exist, or returns the oracle's answer with a traced
 peak within the budget.  Both allow SLACK bytes for what no guard
 charges: the copies of the operands, Python objects and small
-temporaries.  An accepted delta_exact allows DELTA_SLACK bytes, with
-its fixed working sets shrunk (see its test).  Route one's band of
-differences is chunked to fit the budget plus SLACK beside its running
-histogram, and refused when that histogram leaves no room, on int64 and
-big-integer elements alike.  The inputs stay small,
-so no example allocates more than a few MB even if a guard were missing.
+temporaries.  An accepted delta_exact allows DELTA_SLACK bytes, for its
+arrays of one entry per pair; its fixed working sets, route one's
+chunk of cells and route two's block of events, are charged.  Route
+one's band of differences is chunked to fit the budget plus SLACK
+beside its running histogram, and refused when that histogram leaves
+no room, on int64 and big-integer elements alike.  The inputs stay
+small, so no example allocates more than a few MB even if a guard were
+missing.
 """
 
 import tracemalloc
@@ -102,17 +104,49 @@ _window = st.tuples(
     st.integers(1 << 8, 1 << 20),
 )
 def test_delta_refuses_or_fits_the_budget(E, F, window, budget):
-    # route one's chunk of cells and route two's block of events are
-    # working sets of a fixed size that the event guard does not charge;
-    # shrunk, they fit the slack, and the events and counters dominate
-    saved = marstrand._DELTA_CHUNK, marstrand._QUAD_BLOCK
-    marstrand._DELTA_CHUNK, marstrand._QUAD_BLOCK = 64, 4
-    try:
-        rep = _traced(budget, delta_exact, E, F, window, slack=DELTA_SLACK)
-    finally:
-        marstrand._DELTA_CHUNK, marstrand._QUAD_BLOCK = saved
+    rep = _traced(budget, delta_exact, E, F, window, slack=DELTA_SLACK)
     if not isinstance(rep, SizeGuardError):
         assert rep.agreement  # the two routes share nothing but the input
+
+
+_SPARSE_E = IntegerSet(np.random.default_rng(0).choice(10**6, 100, replace=False).tolist(), "e")
+
+
+@pytest.mark.parametrize(
+    "E, F, window",
+    [
+        # 10,000 coarse cells (chunks of _DELTA_CHUNK) and 50,000 events
+        # (blocks of _QUAD_BLOCK): full-size working sets, int64 cells
+        (_SPARSE_E, IntegerSet([5000, 20000], "f"), LambdaWindow(1, 3)),
+        # difference cells of slopes 9000 < 15000, object cells past int64
+        (_SPARSE_E, IntegerSet([9000, 15000], "f"), LambdaWindow(1, 3)),
+        (_SPARSE_E, IntegerSet([5 * 10**12, 2 * 10**13], "f"),
+         LambdaWindow(1, Fr(10**9 + 1, 10**9))),
+        # |E| > _QUAD_ROWS: route two applies one event at a time
+        (IntegerSet(range(0, 4000, 20), "e"), IntegerSet([1, 997], "f"), LambdaWindow(1, 2)),
+    ],
+)
+def test_delta_fits_its_charge(E, F, window, monkeypatch):
+    # delta_exact charges its events, its counters and both routes' fixed
+    # working sets: admitted at exactly that charge, it stays within it,
+    # and one byte less is refused before anything is allocated
+    charges = []
+
+    def spy(what, count, unit, unit_bytes, hint, base=0):
+        if what == "delta window too wide":
+            charges.append(base + count * unit_bytes)
+        return refuse(what, count, unit, unit_bytes, hint, base)
+
+    refuse = marstrand._refuse_over_budget
+    monkeypatch.setattr(marstrand, "_refuse_over_budget", spy)
+    want = delta_exact(E, F, window)
+    charge = charges[-1]
+    assert want.agreement
+    assert _traced(charge, delta_exact, E, F, window, slack=DELTA_SLACK) == want
+    monkeypatch.setattr(arithmetic, "_BYTE_BUDGET", charge - 1)
+    with pytest.raises(SizeGuardError) as refusal:
+        delta_exact(E, F, window)
+    assert f"{charge} bytes > {charge - 1})" in str(refusal.value)
 
 
 def test_band_histogram_fits_the_budget(monkeypatch):
