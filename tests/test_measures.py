@@ -409,9 +409,9 @@ def test_least_gaps_peak_within_one_block(span, dtype, min_length):
     # 4000 rows, about 8 * 10**6 gaps: the first pass holds one block
     # buffer of _SCAN_BLOCK entries and arrays of a few entries per row,
     # never a second block's worth; numpy's ufunc iterator adds its own
-    # buffers of np.getbufsize() entries for the two inputs of the shorter
-    # diagonals' subtraction.  min_length 10**6 makes diagonals short
-    # and drops some of their windows
+    # buffers of np.getbufsize() entries, at most one per operand of the
+    # shorter diagonals' subtraction.  min_length 10**6 makes diagonals
+    # short and drops some of their windows
     rng = np.random.default_rng(2)
     off = np.unique(rng.integers(1, span, 4000))
     off[0] = 0
@@ -423,7 +423,7 @@ def test_least_gaps_peak_within_one_block(span, dtype, min_length):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    ufunc = 2 * np.getbufsize() * itemsize
+    ufunc = 3 * np.getbufsize() * itemsize
     assert buffer < peak <= buffer + ufunc + 40 * len(off), (peak, buffer)
     # the row-by-row least gaps
     for d in range(1, len(off), 397):

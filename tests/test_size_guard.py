@@ -118,8 +118,9 @@ _SPARSE_E = IntegerSet(np.random.default_rng(0).choice(10**6, 100, replace=False
         # 10,000 coarse cells (chunks of _DELTA_CHUNK) and 50,000 events
         # (blocks of _QUAD_BLOCK): full-size working sets, int64 cells
         (_SPARSE_E, IntegerSet([5000, 20000], "f"), LambdaWindow(1, 3)),
-        # difference cells of slopes 9000 < 15000, object cells past int64
+        # difference cells of slopes 9000 < 15000
         (_SPARSE_E, IntegerSet([9000, 15000], "f"), LambdaWindow(1, 3)),
+        # cell terms past int64: object cells
         (_SPARSE_E, IntegerSet([5 * 10**12, 2 * 10**13], "f"),
          LambdaWindow(1, Fr(10**9 + 1, 10**9))),
         # |E| > _QUAD_ROWS: route two applies one event at a time
@@ -129,7 +130,7 @@ _SPARSE_E = IntegerSet(np.random.default_rng(0).choice(10**6, 100, replace=False
 def test_delta_fits_its_charge(E, F, window, monkeypatch):
     # delta_exact charges its events, its counters and both routes' fixed
     # working sets: admitted at exactly that charge, it stays within it,
-    # and one byte less is refused before anything is allocated
+    # and one byte less is refused
     charges = []
 
     def spy(what, count, unit, unit_bytes, hint, base=0):
