@@ -34,17 +34,18 @@ x_i - x_0.  When their span is below 2**62 the offsets are int64, for
 big-integer sets too, and the least gaps of whole blocks of diagonals
 come from one window view of the offsets, in int32 when the span is
 below 2**30, written into one buffer of about 2**17 entries per call,
-so memory stays O(rows) plus that buffer.  A wider span, which only
-object arrays have, is read one diagonal at a time on two copies:
-uint64 residues mod 2**64, exact for every gap below 2**64, and float64
-offsets, which put each gap within 3 * 2**-53 * span and flag the
-windows that may reach 2**62 (all of them, as inf or nan, past float
-range).  A diagonal whose least gap and the float-rounding band above
-it lie among unflagged windows is scored in uint64 alone.
-The others are deferred: once the rest have set the best score, each is
-scanned on Python ints only while the score at a float lower bound on
-its length, with a margin for rounding, can still reach the near-tie
-threshold; one that cannot holds no candidate and is left out.
+so memory stays O(rows) plus that buffer.  A wider span, up to
+2**63 - 2 for int64 arrays and unbounded for object ones, takes the
+same pass on capped int64 offsets: each step between neighbours is
+capped at cap = 2**62 // rows, so a window whose capped gap is below
+cap holds no capped step and that gap is its own.  A diagonal whose least gap and the float-rounding band above it
+stay below cap is scored from them.  The others are deferred: once the
+rest have set the best score, each is scanned on Python ints only while
+the score at an exact lower bound on its length, with a margin for
+rounding, can still reach the near-tie threshold; one that cannot holds
+no candidate and is left out.  The bound takes the larger of the capped
+least gap and 2**sh * (g - 1), where g is the least gap of the offsets
+shifted right by sh bits to fit below 2**62.
 
 Sets whose full pair count exceeds the schedule budget are scanned on
 an index stride.  First and last elements are always kept, so witnesses
@@ -72,7 +73,6 @@ _PY_BUDGET = 2_000_000
 _MAX_CANDIDATES = 50_000
 _SCAN_BLOCK = 1 << 17  # entries of the first pass's block of diagonals
 _FLOAT_OVERFLOW = (1 << 1024) - (1 << 970)  # least int that float() rounds to 2**1024
-_UINT64_MASK = (1 << 64) - 1
 
 
 class DegenerateSetError(ValueError):
@@ -184,9 +184,9 @@ def _as_float(v: np.ndarray) -> np.ndarray:
 
 def _least_gaps(off: np.ndarray, first: int, step: int, min_length: int) -> np.ndarray:
     """Least gap of each diagonal d >= first of the int64 offsets off,
-    among its windows at least min_length long, as _window_scan counts
-    them (diagonal d holds d * step + 1 elements); -1 where none is that
-    long, and for d < first.
+    which span less than 2**62, among its windows at least min_length
+    long, as _window_scan counts them (diagonal d holds d * step + 1
+    elements); -1 where none is that long, and for d < first.
 
     Blocks of diagonals d0 <= d < d1 are read at once from a window view
     of the offsets padded with a sentinel top: row d - d0 and column i of
@@ -251,18 +251,19 @@ def _window_scan(
     d = j - i < u the count is d * step + 1, so the first pass scores
     the shortest windows of each diagonal, those within float rounding
     of them and the column ending at an appended index.  It takes the
-    gaps from the offsets xs[i] - xs[pos[0]]: below a span of 2**62 the
-    least gap of whole blocks of diagonals at once (_least_gaps), and
-    per diagonal only the gaps within float rounding of a least gap of
-    band or more; past it, uint64 residues for the diagonals whose
-    shortest windows and rounding band the float offsets place below
-    2**62, and Python ints, after the rest, for the deferred diagonals
-    whose float lower bound on length can still reach near(best).  The
-    second scans the diagonals reaching near(best) by row blocks for
-    the windows scoring at least near(best), row-major, up to
-    _MAX_CANDIDATES.  Returns them as the arrays (counts, lengths, x_i,
-    x_j), the first int64 and the others of xs's dtype, and the pair
-    count.
+    least gap of whole blocks of diagonals at once (_least_gaps) from
+    the offsets xs[i] - xs[pos[0]], with each step between neighbours
+    capped at cap = 2**62 // u past a span of 2**62, and per diagonal
+    only the gaps within float rounding of a least gap of band or more.
+    A diagonal whose least capped gap or its band reaches cap, or that
+    has none long enough, is deferred; after the rest, Python ints scan
+    those whose exact lower bound on length can still reach near(best),
+    the bound coming from the capped gaps and from the offsets shifted
+    right to fit below 2**62.  The second scans the diagonals reaching
+    near(best) by row blocks for the windows scoring at least near(best),
+    row-major, up to _MAX_CANDIDATES.  Returns them as the arrays (counts,
+    lengths, x_i, x_j), the first int64 and the others of xs's dtype, and
+    the pair count.
     """
     idx = np.asarray(pos, dtype=np.int64)
     vals = xs[idx]
@@ -296,51 +297,47 @@ def _window_scan(
     counts = np.arange(u) * step + 1
     first = -(-(min_count - 1) // step)  # shorter diagonals hold too few elements
     off = vals[:u] - vals[0]  # the gaps of the windows are differences of offsets
-    wide = off.dtype == object and off[-1] >= _INT64_LIMIT
+    span = int(off[-1])
+    wide = span >= _INT64_LIMIT  # int64 arrays span up to 2**63 - 2
     if not wide:
-        off = off.astype(np.int64, copy=False)
-    gmin, best_d = np.zeros(u, dtype=off.dtype), np.full(u, -1.0)  # gap 0 where skipped
-    dd, low = [], []  # the diagonals left for later, and float lower bounds on their gaps
-    if not wide:
-        g = _least_gaps(off, first, step, min_length)
-        np.maximum(g, 0, out=gmin)
-        # a band reaching past g may hold other gaps to score: per diagonal
-        for d in np.flatnonzero(g + 1 >= band).tolist():
-            gmin[d], best_d[d] = least(d, off[d:] - off[: u - d])
+        cut = off.astype(np.int64, copy=False)
     else:
-        # uint64 residues give every gap below 2**64 exactly.  The float
-        # offsets give each gap within 3 * 2**-53 * span; at err = 2**-50 * span
-        # a window whose float gap is below lim lies below 2**62, and any other
-        # lies above floor (inf and nan, past float range, are never below lim)
-        res = (off & _UINT64_MASK).astype(np.uint64)
-        flt = _as_float(off)
-        err = flt[-1] * 2.0**-50
-        lim, floor = 2.0**62 - err, (1 << 62) - (int(off[-1]) >> 49)
-        with np.errstate(invalid="ignore"):  # inf - inf past float range
-            for d in range(first, u):
-                fgaps = flt[d:] - flt[: u - d]
-                inside = fgaps < lim
-                if inside.all():
-                    if (got := least(d, res[d:] - res[: u - d])) is not None:
-                        gmin[d], best_d[d] = got
-                    continue
-                # the flagged windows lie above floor: if the least unflagged
-                # gap and its band lie below it, they are the diagonal's
-                got = least(d, (res[d:] - res[: u - d])[inside]) if inside.any() else None
-                if got is not None and got[0] + (got[0] + 1) // band < floor:
-                    gmin[d], best_d[d] = got
-                else:
-                    dd.append(d)
-                    low.append(fgaps.min() - err)  # nan if fgaps holds one
+        # each step between neighbours capped at cap keeps the offsets below
+        # 2**62; a window whose capped gap is below cap holds no capped step,
+        # so that gap is its own
+        cap = _INT64_LIMIT // u
+        cut = np.zeros(u, dtype=np.int64)
+        np.cumsum(np.minimum(np.diff(off), cap).astype(np.int64), out=cut[1:])
+    g = _least_gaps(cut, first, step, min_length)
+    # the diagonals whose least gap or its band may reach cap wait for Python ints
+    late = np.zeros(u, dtype=bool)
+    if wide:
+        late[first:] = ((g < 0) | (g + (g + 1) // band >= cap))[first:]
+    gmin = np.maximum(g, 0).astype(object if wide else np.int64)  # gap 0 where skipped
+    best_d = np.full(u, -1.0)
+    # a band reaching past g may hold other gaps to score: per diagonal
+    for d in np.flatnonzero((g + 1 >= band) & ~late).tolist():
+        gmin[d], best_d[d] = least(d, cut[d:] - cut[: u - d])
     best_d = np.maximum(best_d, scored(counts, gmin + 1))
-    dd, low = np.array(dd, dtype=np.int64), np.array(low, dtype=np.float64)
+    dd = np.flatnonzero(late)
     best_d[dd] = -1.0  # their least gaps are not known yet
+    lens = np.empty(0)
+    if len(dd):
+        # exact lower bounds on their least gaps.  One is the least capped
+        # gap, but a window that only its capped gap leaves out as too short
+        # has a capped gap of cap or more, so on a diagonal holding fewer than
+        # min_length elements it stops at cap.  The other is 2**sh * (g2 - 1),
+        # for g2 the least gap of the offsets shifted right by sh bits
+        lo = np.where((counts < min_length) & ((g < 0) | (g > cap)), cap, g)[dd].tolist()
+        sh = span.bit_length() - 62
+        g2 = _least_gaps((off >> sh).astype(np.int64), int(dd[0]), step, 1)[dd]
+        low = [max(a, 2**sh * (b - 1), d * step) for a, b, d in zip(lo, g2.tolist(), dd.tolist())]
+        lens = _as_float(np.array(low, dtype=object) + 1)
     col = scored(idx[-1] - idx + 1, vals[-1] - vals + 1) if u < rows else np.empty(0)
     best = float(max(best_d.max(initial=-1.0), col.max(initial=-1.0)))
     # the deferred diagonals, best bound first, scanned exactly while the
-    # score at the float lower bound on length, with a margin for rounding,
-    # can still reach near(best); the rest cannot, and stay at -1
-    lens = np.where(low > dd * step, low + 1, dd * step + 1.0)  # nan: no bound
+    # score at the lower bound on length, with a margin for rounding, can
+    # still reach near(best); the rest cannot, and stay at -1
     bound = score(counts[dd].astype(np.float64), lens) * (1 + 2.0**-30)
     for k in np.argsort(-bound, kind="stable").tolist():
         if best >= 0 and bound[k] < near(best):

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .arithmetic import _short
 from .exact import ceil_pow, cmp_ratio, exact_feasible, pow_bracket
 from .intset import _INT64_LIMIT, IntegerSet, Interval
 from .measures import (
@@ -208,15 +209,10 @@ def extract_regular_subset(E: IntegerSet, alpha, n_blocks: int) -> ExtractedSubs
         cursor = w.witness.hi + gap
     subset = IntegerSet.from_sorted_array(
         np.concatenate([blk._array() for blk in blocks] or [np.empty(0, np.int64)]),
-        f"regular-subset({_shortprov(E)}, alpha={a}, blocks={len(blocks)}"
+        f"regular-subset({_short(E.provenance, 60)}, alpha={a}, blocks={len(blocks)}"
         + (", truncation-exhausted)" if exhausted else ")"),
     )
     return ExtractedSubset(subset, tuple(traces), tuple(witnesses), exhausted)
-
-
-def _shortprov(E: IntegerSet, limit: int = 60) -> str:
-    p = E.provenance
-    return p if len(p) <= limit else p[: limit - 3] + "..."
 
 
 # ---------------------------------------------------------------------------

@@ -262,11 +262,19 @@ def _objective(alpha):
 
 
 _BIG = 10**12  # gaps this wide put window lengths past 10**9
+_CAP3, _CAP5 = 2**62 // 3, 2**62 // 5  # the caps of 3 and 5 capped offsets
+_CAPPED = [0, _CAP5 - 1, 2 * _CAP5, 3 * _CAP5, 3 * _CAP5 + 2**63]
+_PAST_CAP = [0, 1, 3, 6 * 10**19, 6 * 10**19 + 2**60, 15 * 10**19] + [
+    2**63 + 15 * 10**19 + k * 2**61 + 3 * (k > 0) for k in range(10)
+]
+_SHORT_PAST_CAP = [
+    0, 1, 2, 1690745976823003702, 2349558265169773401, 4101505314493968323, 4760317602840738022
+]
 
 # object sets wider than 2**62: gaps within a few units of 2**62, 2**63 and
 # 2**64; powers of two up to 2**200, whose longest windows win at small
 # alpha, so a diagonal left to the exact pass must be rescanned; and values
-# near 10**400, where the float offsets overflow
+# near 10**400, whose lengths lie past float range
 _WIDE = st.one_of(
     st.lists(
         st.tuples(st.integers(0, 4), st.sampled_from([2**62, 2**63, 2**64]), st.integers(-3, 3)),
@@ -307,12 +315,45 @@ _WIDE = st.one_of(
 # density ties 3/9 and 2/6, the latter on a diagonal whose shortest window
 # (length 4) is below min_length
 @example([2, 5, 10], False, 1, False, 1, 5, Fr(1), 3)
-# every window of diagonal 1 may pass 2**62: its least gap is unknown in the
-# first pass and must not score as a window of length 1
+# every window of diagonal 1 reaches the cap, 2**62 // 3, of the capped
+# offsets: its least gap is unknown in the first pass and must not score as
+# a window of length 1
 @example([0, 2**63, 2**64], False, 1, False, 1, 1, Fr(1), 1)
-# the least gap of diagonal 1 lies below 2**62, but its float-rounding band
-# reaches the flagged window 2**62 + 5
 @example([0, 2**62 - 2**20, 2**63 - 2**20 + 5], False, 1, False, 2, 2, None, 2)
+# steps of _CAP5 - 1, _CAP5 + 1 and _CAP5 between five elements, whose
+# offsets are capped at _CAP5: the first and last stay exact, the second
+# is capped to _CAP5, and a capped gap of _CAP5 is no longer its own
+@example(_CAPPED, False, 1, False, 2, 2, None, 3)
+@example(_CAPPED, False, 1, False, 1, 1, Fr(1), 2)
+# the least capped gap of diagonal 1, _CAP3 - 2**20, lies below the cap
+# _CAP3 = 2**62 // 3, but its float-rounding band reaches the capped step
+@example([0, _CAP3 - 2**20, _CAP3 - 2**20 + 2**63], False, 1, False, 2, 2, None, 2)
+# uniform gaps near 10**20, all capped: the offsets shifted right give the
+# deferred diagonals their lower bounds, and the longest window wins
+@example([k * 10**20 + k * k for k in range(24)], False, 1, False, 2, 2, Fr(1, 2), 4)
+# shifted right by 301 bits the offsets read 0, 0, 0 and 2**61: the least
+# shifted gap of diagonal 1, 0, bounds its gaps by 2**301 * (0 - 1) only,
+# and its window (11 * 2**296, 12 * 2**296] wins
+@example([0, 11 * 2**296, 12 * 2**296, 2**362], False, 1, False, 2, 2, Fr(1), 2)
+# at a tiny alpha the full hull wins, a diagonal left to Python ints
+@example([2**k for k in range(0, 120, 4)], False, 1, False, 2, 2, Fr(1, 10**9), 5)
+# diagonal 3 holds 4 elements, fewer than min_length, and its window
+# (-1, 1690745976823003702] is long enough, but not its capped gap, 2 plus
+# the cap: its least capped gap, near twice the cap, bounds its gaps only
+# up to the cap.  That window wins, and a bound past it would leave it out
+@example(_SHORT_PAST_CAP, False, 1, False, 2, 1647030720866924250, Fr(1), 6)
+# min_length 2**61 and 10**20, above the cap: every diagonal holds fewer
+# elements, and a window long enough may have a capped gap that is not.  In
+# the first set diagonal 3's window (2**61 - 1, 2**62 + 1] is one, shorter
+# than the diagonal's least capped gap long enough; it wins at alpha 1/3
+@example([0, 2**61 - 1, 2**61 + 2**60 - 1, 2**62 - 1, 2**62 + 1], False, 1, False, 2, 2**61,
+         Fr(1, 3), 3)
+@example(_PAST_CAP, False, 1, False, 2, 10**20, None, 6)
+@example(_PAST_CAP, False, 1, False, 1, 2**61, Fr(1), 2)
+# an int64 set spanning 2**63 - 2: past 2**62 its offsets are capped too,
+# or the pads of diagonal 3 would fall below its gaps
+@example([-2**62 + 1, -2**62 + 2, -2**62 + 3, 2**62 - 3, 2**62 - 2, 2**62 - 1], False, 1,
+         False, 2, 2, None, 3)
 # offset spans just below, at and above 2**30, where the blocks of
 # diagonals leave int32: their pads must stay above every gap
 @example([0, 1, 2**29, 2**30 - 2, 2**30 - 1], False, 1, False, 1, 2, Fr(1, 2), 2)
@@ -348,21 +389,40 @@ def test_window_scan_matches_row_scan(xs, big, step, append, min_count, min_leng
 
 
 def test_wide_band_reaching_flagged_windows_is_deferred():
-    # diagonal 1 has gaps 2**62 - 2**16, below 2**62, and 2**62 + 2**10,
-    # flagged; the second lies within the first's float-rounding band (about
-    # 2**19 at alpha 1), which passes floor = 2**62 - 2**14 + 1.  A score
-    # lifted by 2**-40 from length 2**62 on rises inside that band, so the
-    # flagged window is the best one, and a first pass that trusted the
-    # unflagged gap alone would miss it and pick diagonal 2 instead
-    xs = np.array([0, 2**62 - 2**16, 2**63 - 2**16 + 2**10], dtype=object)
+    # in the first set diagonal 1 has gaps 2**62 - 2**16 and 2**62 + 2**10,
+    # both past the cap 2**62 // 3 of the capped offsets, so both capped gaps
+    # read the cap and neither is its own gap: the diagonal waits for Python
+    # ints.  The second gap lies within the first's float-rounding band
+    # (about 2**19 at alpha 1), and a score lifted by 2**-40 from length
+    # 2**62 on rises inside that band, so the second window is the best one.
+    # A first pass that trusted the capped gaps would score the diagonal at
+    # length 2**62 // 3 + 1, which no window has, and one that took the
+    # shorter gap without its band would pick diagonal 2 instead.  In the
+    # second, diagonal 1's least capped gap, 2**60 - 2**16, is its own gap
+    # below the cap 2**62 // 4 = 2**60, but its band (about 2**17) reaches the
+    # capped step 2**60 + 2**10, which is lifted from 2**60 + 2**9 on: a
+    # first pass that scored the band on the capped gaps would find the step
+    # unlifted and keep the shorter window as a near-tie
+    for xs, lift, best in (
+        (
+            [0, 2**62 - 2**16, 2**63 - 2**16 + 2**10],
+            2.0**62,
+            ([(2, 2**62 + 2**10 + 1, 2**62 - 2**16, 2**63 - 2**16 + 2**10)], 6),
+        ),
+        (
+            [0, 2**60 - 2**16, 2**61 - 2**16 + 2**10, 2**63 + 2**61],
+            2.0**60 + 2**9,
+            ([(2, 2**60 + 2**10 + 1, 2**60 - 2**16, 2**61 - 2**16 + 2**10)], 10),
+        ),
+    ):
 
-    def score(c, l):
-        return c / l * np.where(l >= 2.0**62, 1 + 2.0**-40, 1.0)
+        def score(c, l):
+            return c / l * np.where(l >= lift, 1 + 2.0**-40, 1.0)
 
-    args = (xs, [0, 1, 2], score, lambda b: b, 2, 1)
-    oracle = row_scan(*args, cap=measures._MAX_CANDIDATES)
-    assert oracle == ([(2, 2**62 + 2**10 + 1, 2**62 - 2**16, 2**63 - 2**16 + 2**10)], 6)
-    assert as_tuples(_window_scan(*args)) == oracle
+        args = (np.array(xs, dtype=object), list(range(len(xs))), score, lambda b: b, 2, 1)
+        oracle = row_scan(*args, cap=measures._MAX_CANDIDATES)
+        assert oracle == best
+        assert as_tuples(_window_scan(*args)) == oracle
 
 
 def test_all_ties_stop_early():
