@@ -320,9 +320,9 @@ _WIDE = st.one_of(
 # a window of length 1
 @example([0, 2**63, 2**64], False, 1, False, 1, 1, Fr(1), 1)
 @example([0, 2**62 - 2**20, 2**63 - 2**20 + 5], False, 1, False, 2, 2, None, 2)
-# steps of _CAP5 - 1, _CAP5 + 1 and _CAP5 between five elements, whose
-# offsets are capped at _CAP5: the first and last stay exact, the second
-# is capped to _CAP5, and a capped gap of _CAP5 is no longer its own
+# steps of _CAP5 - 1, _CAP5 + 1, _CAP5 and 2**63 between five elements,
+# whose offsets are capped at _CAP5: the first and third stay exact, the
+# second and fourth read _CAP5, so a capped gap of _CAP5 need not be its own
 @example(_CAPPED, False, 1, False, 2, 2, None, 3)
 @example(_CAPPED, False, 1, False, 1, 1, Fr(1), 2)
 # the least capped gap of diagonal 1, _CAP3 - 2**20, lies below the cap
