@@ -97,15 +97,23 @@ class PerronReport:
         return hi / lo if lo > 0 else math.inf
 
 
+def _end_counts(A: TransitionMatrix, first: Sequence[int], n_terms: int) -> list[list[int]]:
+    """Admissible words of 1..n_terms symbols, counted by their last symbol.
+
+    Row k-1 holds, for each symbol t, the number of words of k symbols
+    ending in t; first is row 0, the one-symbol words.
+    """
+    a = A.size
+    rows = [list(first)]
+    for _ in range(n_terms - 1):
+        v = rows[-1]
+        rows.append([sum(v[s] for s in range(a) if A.rows[s][t]) for t in range(a)])
+    return rows
+
+
 def _word_counts(A: TransitionMatrix, n_terms: int) -> list[int]:
     # counts[k-1] = number of admissible words of length k = 1^T A^(k-1) 1
-    a = A.size
-    v = [1] * a
-    out = [sum(v)]
-    for _ in range(n_terms - 1):
-        v = [sum(A.rows[i][j] * v[j] for j in range(a)) for i in range(a)]
-        out.append(sum(v))
-    return out
+    return [sum(v) for v in _end_counts(A, [1] * A.size, n_terms)]
 
 
 def perron(A: TransitionMatrix, n_terms: int = 40) -> PerronReport:
@@ -211,6 +219,15 @@ def cantor_set(
     Symbols with no edge at all are excluded from the single-digit
     words; if the whole matrix is zero, the single digits are returned
     flagged "nilpotent".
+
+    The values go into one buffer of exactly the set's size, each
+    written once, and one in-place sort orders it.  Digits are injective
+    and below the base, so two words share a value only when one is the
+    other padded with the zero digit's symbol.  A word shorter than
+    depth + 1 whose last symbol may be followed by that symbol is
+    therefore left out, as its padded extension one level up has the
+    same value; it is held only as the frontier of the next level.
+    Transfer-matrix counts of the words by last symbol size the buffer.
     """
     a = A.size
     if depth < 1:
@@ -225,28 +242,46 @@ def cantor_set(
     if A.is_zero():
         return IntegerSet(dig, prov + ", nilpotent")
 
-    usable = [
-        s
-        for s in range(a)
-        if any(A.rows[s][t] for t in range(a)) or any(A.rows[t][s] for t in range(a))
-    ]
-    succ = {s: [t for t in range(a) if A.rows[s][t]] for s in range(a)}
+    # the one-symbol words: every symbol with an edge in or out
+    usable = [int(any(A.rows[s]) or any(r[s] for r in A.rows)) for s in range(a)]
+    pred = [[s for s in range(a) if A.rows[s][t]] for t in range(a)]
+    zero = dig.index(0) if 0 in dig else None
 
+    def kept(m: int, t: int) -> bool:
+        # a word of m + 1 symbols ending in t has no zero-padded twin above
+        return m == depth or zero is None or not A.rows[t][zero]
+
+    counts = _end_counts(A, usable, depth + 1)
+    size = sum(c for m, row in enumerate(counts) for t, c in enumerate(row) if kept(m, t))
     # words have at most depth + 1 digits, so every value is below b**(depth+1)
     dtype = np.int64 if b ** (depth + 1) < _INT64_LIMIT else object
-    frontier: dict[int, np.ndarray] = {s: np.array([dig[s]], dtype=dtype) for s in usable}
-    collected = [frontier[s] for s in usable]
-    for m in range(1, depth + 1):
+    buf = np.empty(size, dtype=dtype)
+    pos = 0
+    frontier: dict[int, np.ndarray] = {}  # this level's words by last symbol
+    for m, row in enumerate(counts):
         scale = b**m
-        nxt: dict[int, list[np.ndarray]] = {}
-        for s, vals in frontier.items():
-            for t in succ[s]:
-                nxt.setdefault(t, []).append(vals + dig[t] * scale)
-        frontier = {t: np.concatenate(parts) for t, parts in nxt.items()}
-        if not frontier:
-            break
-        collected.extend(frontier.values())
-    return IntegerSet(np.concatenate(collected), prov)
+        level: dict[int, np.ndarray] = {}
+        for t in range(a):
+            if not row[t]:
+                continue
+            if kept(m, t):
+                dst = buf[pos : pos + row[t]]
+                pos += row[t]
+            else:
+                dst = np.empty(row[t], dtype=dtype)
+            if m == 0:
+                dst[0] = dig[t]
+            else:
+                i = 0
+                for s in pred[t]:
+                    vals = frontier.get(s)
+                    if vals is not None:
+                        np.add(vals, dig[t] * scale, out=dst[i : i + len(vals)])
+                        i += len(vals)
+            level[t] = dst
+        frontier = level
+    buf.sort()
+    return IntegerSet.from_sorted_array(buf, prov)
 
 
 def resonance_sets(strings: int) -> tuple[IntegerSet, IntegerSet, IntegerSet]:
@@ -348,19 +383,34 @@ def integer_resonant_set(alpha, depth: int) -> IntegerSet:
 # random walk zeros
 
 
+_WALK_CHUNK = 1 << 16  # steps drawn per call
+
+
 def random_walk_zeros(seed: int, n_steps: int) -> IntegerSet:
     """Zero set {n <= n_steps : S_n = 0} of a seeded fair +-1 walk.
 
     The seed-to-stream mapping (numpy PCG64 via default_rng) is pinned
-    by golden tests; all returned indices are even by parity.
+    by golden tests; all returned indices are even by parity.  Steps are
+    drawn and summed _WALK_CHUNK at a time, each chunk starting from the
+    walk's last value; consecutive draws continue one stream, so the
+    walk is the one a single draw of n_steps would give.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     rng = np.random.default_rng(seed)
-    steps = rng.integers(0, 2, size=n_steps, dtype=np.int64) * 2 - 1
-    walk = np.cumsum(steps)
-    zeros = np.flatnonzero(walk == 0) + 1
-    return IntegerSet.from_sorted_array(zeros, f"walk(seed={seed}, steps={n_steps})")
+    zeros = []
+    level = 0
+    for done in range(0, n_steps, _WALK_CHUNK):
+        walk = rng.integers(0, 2, size=min(_WALK_CHUNK, n_steps - done), dtype=np.int64)
+        walk *= 2
+        walk -= 1
+        walk[0] += level
+        np.cumsum(walk, out=walk)
+        level = int(walk[-1])
+        zeros.append(np.flatnonzero(walk == 0) + (done + 1))
+    return IntegerSet.from_sorted_array(
+        np.concatenate(zeros), f"walk(seed={seed}, steps={n_steps})"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,9 @@ class IntegerSet:
         else:
             xs = _int_array([int(x) for x in elements])
         xs.sort()
-        xs = xs[_run_starts(xs)]  # sort-and-mask dedup, not np.unique's hash path
+        start = _run_starts(xs)  # sort-and-mask dedup, not np.unique's hash path
+        if not start.all():
+            xs = xs[start]
         self._xs = _fit(xs)
         self._tuple: Optional[tuple[int, ...]] = None
         self.provenance = provenance

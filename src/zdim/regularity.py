@@ -233,6 +233,7 @@ class LadderRung:
 # of the strided array, not of the set
 _STRIDE_ABOVE = 400_000
 _STRIDE_TARGET = 200_000
+_LADDER_BLOCK = 1 << 16  # starts a rung weighs per block
 
 
 def _ladder_scales(top: int) -> list[int]:
@@ -269,6 +270,11 @@ def _ladder(
     xs - xs[0], made once; another runs on its own capped int64 offsets
     when their total plus 4*scale stays below it too, and on xs - xs[0]
     in Python ints otherwise.  Witness endpoints come from the elements.
+
+    A rung weighs the starts _LADDER_BLOCK at a time, so besides the
+    offsets only the shortest-window indices span the set: each block
+    overwrites its own with the next rung's.  The first largest ratio
+    wins, within each kind of window and then longest over shortest.
     """
     scales = _ladder_scales(top)
     xs = E._array()
@@ -279,7 +285,6 @@ def _ladder(
         # contiguous, so that searchsorted does not copy it on every call
         xs = np.ascontiguousarray(xs[:: n // _STRIDE_TARGET])
         n = len(xs)
-    starts = np.arange(n)
     span = int(xs[-1]) - int(xs[0])
     whole = gaps = wide = lo_idx = None
     rungs: list[tuple[int, Optional[tuple[int, int, int, int]]]] = []
@@ -287,7 +292,7 @@ def _ladder(
         cap = 2 * scale
         if span + 2 * cap < _INT64_LIMIT:
             if whole is None:
-                whole = (xs - xs[0]).astype(np.int64)
+                whole = (xs - xs[0]).astype(np.int64, copy=False)
             offs = whole
         else:
             if gaps is None:
@@ -302,27 +307,50 @@ def _ladder(
                 offs = wide
         if lo_idx is None:
             lo_idx = np.searchsorted(offs, offs + (scales[0] - 1), side="left")
-        target = offs + (cap - 1)
-        hi_idx = np.searchsorted(offs, target, side="right") - 1
-        best: Optional[tuple[float, int, int, int, int]] = None
-        for j_idx in (hi_idx, lo_idx):
-            valid = j_idx < n
-            j = np.where(valid, j_idx, n - 1)
-            counts = (j - starts + 1).astype(np.float64)
-            lengths = offs[j] - offs + 1
-            ok = valid & (lengths >= scale) & (lengths < cap)
-            if not ok.any():
-                continue
-            r = np.where(ok, counts * _as_float(lengths) ** (-alpha_f), -1.0)
-            i = int(r.argmax())
-            lo, hi = int(xs[i]), int(xs[j[i]])
-            cand = (float(r[i]), int(counts[i]), hi - lo + 1, lo, hi)
-            if best is None or cand[0] > best[0]:
-                best = cand
-        rungs.append((scale, None if best is None else best[1:]))
-        # hi_idx >= start, so the gather stays in range
-        lo_idx = hi_idx + (offs[hi_idx] != target)
+        found: list[Optional[tuple[float, int, int]]] = [None, None]
+        for a in range(0, n, _LADDER_BLOCK):
+            o = offs[a : a + _LADDER_BLOCK]
+            lo_blk = lo_idx[a : a + len(o)]
+            target = o + (cap - 1)
+            hi_blk = np.searchsorted(offs, target, side="right") - 1
+            for k, j_idx in enumerate((hi_blk, lo_blk)):
+                found[k] = _first_best(found[k], _best_window(offs, a, j_idx, scale, alpha_f))
+            # hi_blk >= start, so the gather stays in range
+            lo_blk[:] = hi_blk + (offs[hi_blk] != target)
+        best = _first_best(*found)
+        if best is None:
+            rungs.append((scale, None))
+        else:
+            _, i, j = best
+            lo, hi = int(xs[i]), int(xs[j])
+            rungs.append((scale, (j - i + 1, hi - lo + 1, lo, hi)))
     return rungs
+
+
+def _first_best(x, y):
+    """Whichever of two (ratio, ...) tuples or None has the larger ratio, x on a tie."""
+    return y if y is not None and (x is None or y[0] > x[0]) else x
+
+
+def _best_window(
+    offs: np.ndarray, a: int, j_idx: np.ndarray, scale: int, alpha_f: float
+) -> Optional[tuple[float, int, int]]:
+    """(ratio, start, end) of the best window from the starts a, a+1, ...
+    to the ends j_idx, length in [scale, 2*scale), or None when none is.
+
+    An end at len(offs) stands for no window; the first largest ratio wins.
+    """
+    n = len(offs)
+    valid = j_idx < n
+    j = np.where(valid, j_idx, n - 1)
+    counts = (j - np.arange(a, a + len(j)) + 1).astype(np.float64)
+    lengths = offs[j] - offs[a : a + len(j)] + 1
+    ok = valid & (lengths >= scale) & (lengths < 2 * scale)
+    if not ok.any():
+        return None
+    r = np.where(ok, counts * _as_float(lengths) ** (-alpha_f), -1.0)
+    i = int(r.argmax())
+    return float(r[i]), a + i, int(j[i])
 
 
 def _length_pow(length: int, alpha: float) -> float:

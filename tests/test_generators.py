@@ -2,11 +2,14 @@
 alternating-block noncompatible pair."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from fractions import Fraction as Fr
+from hypothesis import example, given, strategies as st
 
+import zdim.generators as generators
 from zdim.generators import (
     IPParameters,
     NoncompatibleParams,
@@ -104,6 +107,66 @@ def test_cantor_bigint_path_matches_numpy_path():
             pos += 1
         lifted.add(acc)
     assert set(big.elements) == lifted
+
+
+def _traced_peak(build):
+    """(result, traced peak in bytes) of build()."""
+    tracemalloc.start()
+    try:
+        out = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def _brute_cantor(rows, depth, base, digits):
+    """Sorted values of every admissible word, enumerated in Python ints."""
+    a = len(rows)
+    if not any(map(any, rows)):
+        return sorted(digits)
+    level = [(s,) for s in range(a) if any(rows[s]) or any(r[s] for r in rows)]
+    values = set()
+    for _ in range(depth + 1):
+        values.update(sum(digits[d] * base**i for i, d in enumerate(w)) for w in level)
+        level = [w + (t,) for w in level for t in range(a) if rows[w[-1]][t]]
+    return sorted(values)
+
+
+@st.composite
+def _cantor_cases(draw):
+    a = draw(st.integers(1, 4))
+    rows = tuple(tuple(draw(st.integers(0, 1)) for _ in range(a)) for _ in range(a))
+    base = draw(st.sampled_from([a, a + 1, 10, 2**20, 2**31, 10**30]))
+    digits = draw(st.lists(st.integers(0, base - 1), min_size=a, max_size=a, unique=True))
+    if draw(st.booleans()) and 0 not in digits:
+        digits[draw(st.integers(0, a - 1))] = 0
+    return rows, draw(st.integers(1, 6)), base, tuple(digits)
+
+
+@given(_cantor_cases())
+@example((((0, 0), (0, 0)), 3, 5, (1, 0)))  # nilpotent: the single digits
+@example((((0, 1, 0), (0, 0, 1), (0, 0, 0)), 5, 4, (0, 2, 3)))  # nilpotent, words die out
+@example((((1, 0), (1, 1)), 6, 3, (0, 2)))  # self-loops, zero padding twice
+@example((((0, 1), (0, 1)), 4, 7, (0, 5)))  # zero symbol with no incoming edge
+@example((((1, 1, 0), (0, 0, 0), (1, 0, 1)), 2, 10**30, (0, 7, 10**30 - 1)))  # object dtype
+@example((((1, 1), (1, 1)), 1, 2**31, (2**31 - 1, 1)))  # no zero digit; built as object, stored as int64
+def test_cantor_set_matches_word_enumeration(case):
+    rows, depth, base, digits = case
+    A = TransitionMatrix(rows)
+    E = cantor_set(A, depth, base=base, digits=digits)
+    want = _brute_cantor(rows, depth, base, digits)
+    assert list(E.elements) == want
+    assert E._array().dtype == (np.int64 if want[-1] < 2**62 else object)
+    prov = f"cantor(matrix={A}, depth={depth}, base={base}, digits={digits})"
+    assert E.provenance == prov + (", nilpotent" if A.is_zero() else "")
+
+
+def test_cantor_set_builds_in_one_exact_buffer():
+    # 11**5 words of five digits; every shorter word has a zero-padded twin
+    E, peak = _traced_peak(lambda: cantor_set(TransitionMatrix.full(11), 4, base=12))
+    assert len(E) == 11**5
+    assert peak <= 1.25 * E._array().nbytes, (peak, E._array().nbytes)
 
 
 def test_perron_fibonacci():
@@ -208,6 +271,28 @@ def test_random_walk_zeros_even_and_reproducible():
     assert E.elements == again.elements
     other = random_walk_zeros(4, 10_000)
     assert E.elements != other.elements
+
+
+def _one_shot_walk_zeros(seed, n_steps):
+    steps = np.random.default_rng(seed).integers(0, 2, size=n_steps, dtype=np.int64)
+    return tuple(np.flatnonzero(np.cumsum(steps * 2 - 1) == 0) + 1)
+
+
+def test_random_walk_zero_on_a_chunk_edge():
+    # seed 95's walk is back at 0 after exactly one chunk of steps
+    chunk = generators._WALK_CHUNK
+    E = random_walk_zeros(95, 2 * chunk + 10)
+    assert chunk in E
+    assert E.elements == _one_shot_walk_zeros(95, 2 * chunk + 10)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 8, 1001])
+def test_random_walk_chunks_continue_one_stream(monkeypatch, chunk):
+    # seed 3's zeros start 2, 8, 92: chunks of 1, 8 and odd sizes alike
+    monkeypatch.setattr(generators, "_WALK_CHUNK", chunk)
+    E = random_walk_zeros(3, 10_000)
+    assert E.elements == _one_shot_walk_zeros(3, 10_000)
+    assert E.elements[:3] == (2, 8, 92)
 
 
 def test_zero_density_full_dim_blocks():

@@ -1,5 +1,6 @@
 """IntegerSet container and .zset persistence."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,19 @@ def test_interval_rejects_empty():
         Interval(5, 5)
     with pytest.raises(ValueError):
         Interval(5, 4)
+
+
+def test_set_from_distinct_array_keeps_its_sorted_copy():
+    # one int64 copy to sort and the run-start mask, no masked copy
+    xs = np.random.default_rng(1).permutation(200_000).astype(np.int64)
+    tracemalloc.start()
+    try:
+        E = IntegerSet(xs, "t")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(E._array(), np.arange(200_000))
+    assert peak <= xs.nbytes + len(xs) + (16 << 10), peak
 
 
 def test_set_dedups_and_sorts():

@@ -4,8 +4,10 @@ ladder diagnostics (regularity, compatibility, universality)."""
 import bisect
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -283,6 +285,36 @@ def test_ladder_matches_bisect_oracle(xs, alpha, shift, stride, top):
     if stride and len(members) > 8:
         members = members[:: len(members) // 4]
     _check_rungs(members, top, alpha, rungs)
+
+
+@given(
+    st.one_of(_MEMBERS, _RUNS, _exact_hits()),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([0, 1 << 70]),
+    st.sampled_from([1, 2, 5]),
+)
+def test_ladder_blocks_keep_the_first_best_window(xs, alpha, shift, block):
+    # progressions and runs tie many windows: blocks of starts must
+    # still pick the one a single block picks
+    E = IntegerSet(xs, "e").shift(shift)
+    whole = _ladder(E, E.hull().length, alpha)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regularity, "_LADDER_BLOCK", block)
+        assert _ladder(E, E.hull().length, alpha) == whole
+
+
+def test_ladder_peak_memory_is_a_few_arrays_of_the_set():
+    # the offsets and the next rung's indices span the set, plus one
+    # temporary while the first indices are made; the rest is per block
+    xs = np.cumsum(np.random.default_rng(2).integers(1, 9, size=400_000))
+    E = IntegerSet.from_sorted_array(xs, "e")
+    tracemalloc.start()
+    try:
+        _ladder(E, E.hull().length, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * xs.nbytes, peak / xs.nbytes
 
 
 def _check_rungs(members, top, alpha, rungs):
