@@ -109,17 +109,6 @@ def test_cantor_bigint_path_matches_numpy_path():
     assert set(big.elements) == lifted
 
 
-def _traced_peak(build):
-    """(result, traced peak in bytes) of build()."""
-    tracemalloc.start()
-    try:
-        out = build()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return out, peak
-
-
 def _brute_cantor(rows, depth, base, digits):
     """Sorted values of every admissible word, enumerated in Python ints."""
     a = len(rows)
@@ -164,7 +153,12 @@ def test_cantor_set_matches_word_enumeration(case):
 
 def test_cantor_set_builds_in_one_exact_buffer():
     # 11**5 words of five digits; every shorter word has a zero-padded twin
-    E, peak = _traced_peak(lambda: cantor_set(TransitionMatrix.full(11), 4, base=12))
+    tracemalloc.start()
+    try:
+        E = cantor_set(TransitionMatrix.full(11), 4, base=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert len(E) == 11**5
     assert peak <= 1.25 * E._array().nbytes, (peak, E._array().nbytes)
 
