@@ -18,16 +18,9 @@ lengths beyond float range score as infinitely long.  Windows d
 endpoints apart hold one count and every objective falls as the length
 grows, so one pass scores the shortest windows of each such diagonal
 for the best score, and a second collects near-ties in row-major order
-up to a cap, as arrays of (count, length, start, end).  The ratio
-objective re-compares the near-ties exactly (integer cross-powers for
-rational alpha with small denominator, high-precision decimal
-otherwise), so witnesses landing exactly on a boundary are resolved
-correctly.  The dimension objective does not: it compares math.log
-ratios, taking each log once per distinct count and length, and treats
-ratios within 1e-12 as ties.  When all near-ties lie within 1e-12 of
-each other the witness is the shortest, then lowest, window; otherwise
-a fold in row-major order picks it.  Either way the reported witness is
-deterministic.
+up to a cap, as arrays of (count, length, start, end).  One pick settles
+the near-ties exactly, with exact.cmp_ratio or exact.cmp_log_ratio, and
+reports the shortest, then lowest, window of the exact maximum.
 
 The first pass reads each diagonal's gaps as differences of the offsets
 x_i - x_0.  When their span is below 2**62 the offsets are int64, for
@@ -65,7 +58,7 @@ from typing import Callable, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .exact import EXACT_DEN_LIMIT, cmp_ratio, exact_feasible, ratio_value
+from .exact import cmp_log_ratio, cmp_ratio, exact_feasible, ratio_value, rational_log_ratio
 from .intset import _INT64_LIMIT, IntegerSet, Interval
 
 # scans of object arrays (elements beyond int64) get a tighter cap
@@ -371,34 +364,25 @@ def _window_scan(
     return (idx[j] - idx[i] + 1, xj - xi + 1, xi, xj), pairs
 
 
-# ---------------------------------------------------------------------------
-# ratio objective: count / length**alpha
-
-
-def _cmp_ratio_any(c1: int, l1: int, c2: int, l2: int, alpha: Fraction) -> int:
-    """Sign of c1/l1**alpha - c2/l2**alpha, exact when feasible."""
-    if exact_feasible(max(l1, l2), alpha):
-        return cmp_ratio(c1, l1, c2, l2, alpha)
-    with localcontext() as ctx:
-        ctx.prec = 60
-        af = Decimal(alpha.numerator) / Decimal(alpha.denominator)
-        r1 = Decimal(c1) / (af * Decimal(l1).ln()).exp()
-        r2 = Decimal(c2) / (af * Decimal(l2).ln()).exp()
-        diff = r1 - r2
-        if abs(diff) < (r1 + r2) * Decimal(10) ** -50:
-            return 0
-        return 1 if diff > 0 else -1
-
-
-def _pick_best_ratio(cands: tuple[np.ndarray, ...], alpha: Fraction) -> tuple[int, int, int, int]:
-    """Exact max over candidate arrays; ties broken by shorter length, then lower start."""
-    cands = list(zip(*(a.tolist() for a in cands)))
-    best = cands[0]
-    for cand in cands[1:]:
-        s = _cmp_ratio_any(cand[0], cand[1], best[0], best[1], alpha)
-        if s > 0 or (s == 0 and (cand[1], cand[2]) < (best[1], best[2])):
+def _pick_best(cands: tuple[np.ndarray, ...], cmp: Callable) -> tuple[int, int, int, int]:
+    """The shortest, then lowest, candidate (count, length, start, end) of
+    largest score; cmp(c1, l1, c2, l2) is the sign of the score difference
+    or None (undecided), a tie.  Scores fall as the length grows at a fixed
+    count, so the fold runs over each count's shortest, then lowest, window."""
+    counts, lens, starts, _ = cands
+    order = np.lexsort((starts, lens, counts))
+    keep = order[np.r_[True, np.diff(counts[order]) != 0]]
+    rows = zip(*(a[keep].tolist() for a in cands))
+    best = next(rows)
+    for cand in rows:
+        s = cmp(cand[0], cand[1], best[0], best[1])
+        if s == 1 or (s != -1 and (cand[1], cand[2]) < (best[1], best[2])):
             best = cand
     return best
+
+
+# ---------------------------------------------------------------------------
+# ratio objective: count / length**alpha
 
 
 def _ratio_to_fraction(count: int, length: int, alpha: Fraction, digits: int = 40) -> Fraction:
@@ -432,7 +416,7 @@ def _ratio_scan(
         raise DegenerateSetError(
             f"no interval with count >= {min_count} and length >= {schedule.min_length}"
         )
-    return _pick_best_ratio(cands, alpha), pairs, sub
+    return _pick_best(cands, lambda *cl: cmp_ratio(*cl, alpha)), pairs, sub
 
 
 def alpha_measure_estimate(
@@ -476,40 +460,8 @@ def density_estimate(E: IntegerSet, schedule: ScanSchedule = ScanSchedule()) -> 
 
 def _log_ratio_fraction(count: int, length: int) -> Fraction:
     """log(count)/log(length) as a Fraction, exact for true power relations."""
-    r = math.log(count) / math.log(length)
-    guess = Fraction(r).limit_denominator(EXACT_DEN_LIMIT)
-    if 0 <= guess <= 1 and count**guess.denominator == length**guess.numerator:
-        return guess
-    return Fraction(r).limit_denominator(10**12)
-
-
-def _logs(v: np.ndarray) -> np.ndarray:
-    """math.log of each element of an integer array, once per distinct value."""
-    u, inv = np.unique(v, return_inverse=True)
-    return np.array([math.log(x) for x in u.tolist()])[inv]
-
-
-def _pick_best_dimension(cands: tuple[np.ndarray, ...]) -> tuple[int, int, int, int]:
-    """Max of log(count)/log(length) over candidate arrays, ratios within
-    1e-12 tying; ties broken by shorter length, then lower start."""
-    counts, lens, starts, _ = cands
-    r = _logs(counts) / _logs(lens)  # float64 division, as math.log(c) / math.log(l)
-    lo, hi = r.min(), r.max()
-    if hi <= lo + 1e-12 and hi - lo <= 1e-12:
-        # every ratio is within 1e-12 of every best so far, so the fold
-        # below only ever ties and keeps the least (length, start)
-        k = np.flatnonzero(lens == lens.min())
-        k = k[starts[k].argmin()]
-    else:
-        # the tie within 1e-12 is not transitive, so the row-major order counts
-        rs, ls, ss = r.tolist(), lens.tolist(), starts.tolist()
-        k, best_r = 0, rs[0]
-        for m in range(1, len(rs)):
-            if rs[m] > best_r + 1e-12 or (
-                abs(rs[m] - best_r) <= 1e-12 and (ls[m], ss[m]) < (ls[k], ss[k])
-            ):
-                k, best_r = m, max(rs[m], best_r)
-    return tuple(int(a[k]) for a in cands)
+    r = math.log(count) / math.log(length)  # count >= 2, so an exact ratio is never 0
+    return rational_log_ratio(count, length) or Fraction(r).limit_denominator(10**12)
 
 
 def dimension_estimate(
@@ -538,7 +490,7 @@ def dimension_estimate(
         raise DegenerateSetError(
             f"no interval with count >= 2 and length >= {schedule.min_length}"
         )
-    count, length, xi, xj = _pick_best_dimension(cands)
+    count, length, xi, xj = _pick_best(cands, cmp_log_ratio)
     return DimensionEstimate(
         _log_ratio_fraction(count, length),
         Interval(xi - 1, xj),
@@ -560,7 +512,7 @@ def monotonicity_check(
     Sets with fewer than two elements are treated as estimate 0.  F's
     estimate is floored by F's own ratio on E's witness interval (F has
     at least as many points there), so the comparison holds under any
-    subsampling.
+    subsampling; an undecided cmp_log_ratio counts as holding.
     """
     for x in E:
         if x not in F:
@@ -570,9 +522,6 @@ def monotonicity_check(
     except DegenerateSetError:
         return True
     dF = dimension_estimate(F, schedule)
-    best_f = float(dF.alpha_hat)
     w = dE.witness
-    c = F.count_in(w)
-    if c >= 2 and w.length >= 2:
-        best_f = max(best_f, math.log(c) / math.log(w.length))
-    return best_f >= float(dE.alpha_hat) - 1e-12
+    pairs = ((dF.count, dF.length), (F.count_in(w), w.length))
+    return any(cmp_log_ratio(c, l, dE.count, dE.length) != -1 for c, l in pairs)

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .arithmetic import _short
-from .exact import ceil_pow, cmp_ratio, exact_feasible, pow_bracket
+from .exact import ceil_pow, cmp_ratio, pow_bracket
 from .intset import _INT64_LIMIT, IntegerSet, Interval
 from .measures import (
     DegenerateSetError,
@@ -52,18 +52,6 @@ class SupRatio:
     @property
     def length(self) -> int:
         return self.witness.length
-
-
-def _cmp_ratio_vs(count: int, length: int, alpha: Fraction, target: Fraction) -> int:
-    """Exact sign of count/length**alpha - target for small alpha denominators."""
-    if exact_feasible(length, alpha):
-        return cmp_ratio(count * target.denominator, length, target.numerator, 1, alpha)
-    lo, hi = pow_bracket(length, alpha, 60)
-    if Fraction(count) / lo < target:
-        return -1
-    if Fraction(count) / hi > target:
-        return 1
-    return 0
 
 
 def ratio_le_half_step(
@@ -134,10 +122,9 @@ def _dyadic_once(xs: np.ndarray) -> np.ndarray:
 def dyadic_thin(F: IntegerSet, I: Interval, alpha) -> ThinningTrace:
     """Thin F inside I until 1/2 < s <= 2.
 
-    Each pass keeps the first, last, and every second interior element.
-    A pass at least nearly halves s (s' <= s/2 + 1/2, asserted), so the
-    number of passes is at most ceil(log2 s) + 1.  The sup always
-    admits the single-cell witness, so s never drops to 1/2 or below.
+    Each pass keeps the first, last, and every second interior element: at
+    most c/2 + 3/2 of c consecutive ones (asserted), so s' <= s/2 + 3/(2 l**a)
+    on the new witness of length l.  The single-cell witness keeps s above 1/2.
     """
     a = Fraction(alpha)
     current = F.restrict(I)
@@ -145,17 +132,16 @@ def dyadic_thin(F: IntegerSet, I: Interval, alpha) -> ThinningTrace:
     initial = s
     steps: list[tuple[int, SupRatio]] = []
     stalled = False
-    while _cmp_ratio_vs(s.count, s.length, a, Fraction(2)) > 0:
+    while cmp_ratio(s.count, s.length, 2, 1, a) > 0:
         thinned = _dyadic_once(current._array())
         if len(thinned) == len(current):
             # fewer than four points and a tiny alpha: the rule is the
             # identity here and s cannot shrink further
             stalled = True
             break
-        current = IntegerSet.from_sorted_array(thinned, f"thin({F.provenance})")
-        prev = s
+        prev, current = current, IntegerSet.from_sorted_array(thinned, f"thin({F.provenance})")
         s = sup_ratio(current, I, a)
-        assert ratio_le_half_step(prev.count, prev.length, s.count, s.length, a)
+        assert 2 * s.count <= prev.count_in(s.witness) + 3
         steps.append((len(current), s))
         assert len(steps) <= 200, "thinning failed to terminate"
     return ThinningTrace(initial, tuple(steps), current, stalled)

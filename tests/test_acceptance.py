@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from zdim.arithmetic import floor_scale, star, sum_scaled, sumset
+from zdim.exact import cmp_ratio
 from zdim.generators import (
     TransitionMatrix,
     cantor_set,
@@ -29,7 +30,7 @@ from zdim.generators import (
 from zdim.intset import IntegerSet, Interval
 from zdim.marstrand import LambdaWindow, delta_exact, pair_window, sweep
 from zdim.measures import ScanSchedule, alpha_measure_estimate, dimension_estimate
-from zdim.regularity import _cmp_ratio_vs, dyadic_thin, ratio_le_half_step
+from zdim.regularity import dyadic_thin, ratio_le_half_step
 
 LOG2_3 = math.log(2) / math.log(3)
 LOG11_12 = math.log(11) / math.log(12)
@@ -226,9 +227,9 @@ def test_06_thinning_contracts_to_regular_band():
             continue
         s = tr.final_s
         # final s in (1/2, 2]: exact comparisons via the ratio sign
-        if _cmp_ratio_vs(s.count, s.length, alpha, Fr(2)) > 0:
+        if cmp_ratio(s.count, s.length, 2, 1, alpha) > 0:
             fails += 1
-        if _cmp_ratio_vs(s.count, s.length, alpha, Fr(1, 2)) <= 0:
+        if cmp_ratio(2 * s.count, s.length, 1, 1, alpha) <= 0:
             fails += 1
         s0 = float(tr.initial.value)
         if len(tr.steps) > max(0, math.ceil(math.log2(max(s0, 1.0)))) + 1:

@@ -164,6 +164,16 @@ def test_thin_json_trace(tmp_path, capsys):
     assert len(thinned) == rep["final_size"]
 
 
+def test_thin_five_element_block(tmp_path, capsys):
+    # the pass to {0, 1, 3, 4} breaks s' <= s/2 + 1/2, which once crashed thin
+    p = tmp_path / "b5.zset"
+    p.write_text("#zset v1\n0\n1\n2\n3\n4\n")
+    code, out, _ = run(capsys, "thin", str(p), "--alpha", "1/2")
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["final_size"], rep["stalled"]) == (4, False)
+
+
 def test_thin_empty_set_is_a_usage_error(tmp_path, capsys):
     p = tmp_path / "empty.zset"
     p.write_text("#zset v1\n#provenance nothing\n")  # header only, no elements

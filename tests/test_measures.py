@@ -6,6 +6,7 @@ element-aligned interval, keeping the fast path honest.
 
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction as Fr
 from unittest import mock
 
@@ -492,19 +493,19 @@ def test_least_gaps_peak_within_one_block(span, dtype, min_length):
         assert g[d] == (gaps.min() if len(gaps) else -1)
 
 
-def fold_oracle(cands):
-    """The dimension pick over candidate tuples in row-major order: a ratio
-    more than 1e-12 above the best so far takes over, and one within 1e-12
-    of it takes over when its (length, start) is less."""
-    best = cands[0]
-    best_r = math.log(best[0]) / math.log(best[1])
-    for cand in cands[1:]:
-        r = math.log(cand[0]) / math.log(cand[1])
-        if r > best_r + 1e-12 or (
-            abs(r - best_r) <= 1e-12 and (cand[1], cand[2]) < (best[1], best[2])
-        ):
-            best, best_r = cand, max(r, best_r)
-    return best
+def exact_oracle(cands):
+    """The dimension pick over candidate tuples: the largest
+    log(count)/log(length) to 100 digits, ratios agreeing to 80 digits
+    tying, then the shortest length, then the lowest start."""
+
+    def key(cand):
+        with localcontext() as ctx:
+            ctx.prec = 100
+            r = Decimal(cand[0]).ln() / Decimal(cand[1]).ln()
+            ctx.prec = 80
+            return +r, -cand[1], -cand[2]
+
+    return max(cands, key=key)
 
 
 # two candidates: (0, L - 1] holds 3 elements and scores best, the shorter
@@ -542,5 +543,15 @@ def test_dimension_pick_matches_fold(xs, shift, min_length, budget):
     except DegenerateSetError:
         assert not cands
         return
-    count, length, xi, xj = fold_oracle(cands)
+    count, length, xi, xj = exact_oracle(cands)
     assert (d.count, d.length, d.witness) == (count, length, Interval(xi - 1, xj))
+
+
+def test_pick_counts_undecided_as_a_tie():
+    # a comparator that decides nothing leaves the shortest, then lowest,
+    # window of all candidates
+    cands = tuple(
+        np.array(v) for v in ([3, 2, 3, 2, 4], [9, 5, 7, 5, 6], [4, 8, 1, 2, 0], [12, 12, 7, 6, 5])
+    )
+    assert measures._pick_best(cands, lambda *a: None) == (2, 5, 2, 6)
+    assert measures._pick_best(cands, lambda c1, l1, c2, l2: (c1 > c2) - (c1 < c2)) == (4, 6, 0, 5)

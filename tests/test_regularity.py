@@ -4,6 +4,7 @@ ladder diagnostics (regularity, compatibility, universality)."""
 import bisect
 import itertools
 import math
+import time
 import tracemalloc
 from fractions import Fraction as Fr
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from zdim import regularity
+from zdim.exact import cmp_ratio
 from zdim.generators import NoncompatibleParams, noncompatible_pair, power_set
 from zdim.intset import IntegerSet, Interval
 from zdim.regularity import (
@@ -70,6 +72,36 @@ def test_dyadic_thin_terminates_in_log_steps():
     s0 = float(tr.initial.value)  # 1024/32 = 32
     assert len(tr.steps) <= math.ceil(math.log2(s0)) + 1
     assert 0.5 < float(tr.final_s.value) <= 2.0
+
+
+def test_dyadic_thin_at_a_long_denominator_returns():
+    # E_c's alpha-hat: comparing s with 2 once raised 10**60 to a power
+    # of 6.7 * 10**11 and never returned
+    E = power_set(Fr(1, 2), 200)
+    t0 = time.perf_counter()
+    tr = dyadic_thin(E, E.hull(), Fr(660655392123, 672329544662))
+    assert time.perf_counter() - t0 < 1
+    assert not tr.stalled and cmp_ratio(tr.final_s.count, tr.final_s.length, 2, 1, tr.initial.alpha) <= 0
+
+
+@pytest.mark.parametrize(
+    "xs, alpha",
+    [(range(5), Fr(1, 2))]
+    + [(range(n), Fr(1, 3)) for n in range(4, 13)]
+    + [([k * k for k in range(201)], Fr(1, 10))],
+)
+def test_dyadic_thin_where_half_step_fails(xs, alpha):
+    # s' <= s/2 + 1/2 is false on these when l**alpha < 3; a pass keeps at
+    # most c/2 + 3/2 of c consecutive elements, which thinning asserts
+    E = IntegerSet(xs, "blk")
+    tr = dyadic_thin(E, E.hull(), alpha)
+    s = tr.final_s
+    assert not tr.stalled and cmp_ratio(s.count, s.length, 2, 1, alpha) <= 0
+    if len(E) == 5 and alpha == Fr(1, 2):
+        # sqrt 5 > 2 thins to 4/sqrt 5 > sqrt 5 / 2 + 1/2
+        assert tr.final_set.elements == (0, 1, 3, 4)
+        assert (s.count, s.length) == (4, 5)
+        assert not ratio_le_half_step(5, 5, 4, 5, alpha)
 
 
 def test_dyadic_thin_already_regular_is_noop():
