@@ -371,7 +371,7 @@ def _pick_best(cands: tuple[np.ndarray, ...], cmp: Callable) -> tuple[int, int, 
     count, so the fold runs over each count's shortest, then lowest, window."""
     counts, lens, starts, _ = cands
     order = np.lexsort((starts, lens, counts))
-    keep = order[np.r_[True, np.diff(counts[order]) != 0]]
+    keep = order[np.unique(counts[order], return_index=True)[1]]
     rows = zip(*(a[keep].tolist() for a in cands))
     best = next(rows)
     for cand in rows:

@@ -164,14 +164,17 @@ def test_thin_json_trace(tmp_path, capsys):
     assert len(thinned) == rep["final_size"]
 
 
-def test_thin_five_element_block(tmp_path, capsys):
-    # the pass to {0, 1, 3, 4} breaks s' <= s/2 + 1/2, which once crashed thin
+# at 1/2 the pass to {0, 1, 3, 4} breaks s' <= s/2 + 1/2: thin must not
+# assert it; at E_c's alpha-hat, of denominator 6.7 * 10**11, comparing s
+# with 2 must not raise anything to that power
+@pytest.mark.parametrize("alpha, size", [("1/2", 4), ("660655392123/672329544662", 5)])
+def test_thin_five_element_block(tmp_path, capsys, alpha, size):
     p = tmp_path / "b5.zset"
     p.write_text("#zset v1\n0\n1\n2\n3\n4\n")
-    code, out, _ = run(capsys, "thin", str(p), "--alpha", "1/2")
+    code, out, _ = run(capsys, "thin", str(p), "--alpha", alpha)
     assert code == 0
     rep = json.loads(out)
-    assert (rep["final_size"], rep["stalled"]) == (4, False)
+    assert (rep["final_size"], rep["stalled"]) == (size, False)
 
 
 def test_thin_empty_set_is_a_usage_error(tmp_path, capsys):

@@ -105,8 +105,8 @@ def test_cmp_ratio_settles_built_ties(k, m, a, b, q, p, nudge):
 
 
 def test_cmp_ratio_at_a_long_denominator_is_quick():
-    # the diagnostic's own alpha-hat of the squares to 200**2: no power
-    # of 10**60 to the 6.7 * 10**11 is ever formed
+    # the diagnostic's own alpha-hat on E_c = resonance_sets(6)[2]: no
+    # power of 10**60 to the 6.7 * 10**11 is ever formed
     alpha = Fr(660655392123, 672329544662)
     assert cmp_ratio(201, 40001, 2, 1, alpha) == -1  # 201 / 40001**alpha < 0.01
     assert cmp_ratio(2, 2, 1, 1, alpha) == 1  # 2**(1 - alpha) > 1
@@ -144,8 +144,6 @@ def test_cmp_log_ratio_matches_oracle(c1, l1, c2, l2):
 def test_cmp_log_ratio_settles_power_ties(x, y, i, j, k):
     # (x**i, y**j) and (x**(i*k), y**(j*k)) share the ratio i log x / (j log y)
     c1, l1, c2, l2 = x**i, y**j, x ** (i * k), y ** (j * k)
-    if c1 > l1:
-        return  # not a window: more elements than its length
     assert cmp_log_ratio(c1, l1, c2, l2) == 0
     assert cmp_log_ratio(c2, l2, c1, l1) == 0
 
@@ -155,7 +153,5 @@ def test_cmp_log_ratio_near_cantor_ties(k, nudge, on_count):
     # (2**k +- 1, 3**k) or (2**k, 3**k -+ 1) against (2, 3): off the tie by
     # about 2**-k, past float precision from k = 50 on
     c, l = (2**k + nudge, 3**k) if on_count else (2**k, 3**k - nudge)
-    if c < 1:
-        return
     assert cmp_log_ratio(c, l, 2, 3) == nudge == log_oracle(c, l, 2, 3)
     assert cmp_log_ratio(2, 3, c, l) == -nudge

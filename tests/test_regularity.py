@@ -75,13 +75,14 @@ def test_dyadic_thin_terminates_in_log_steps():
 
 
 def test_dyadic_thin_at_a_long_denominator_returns():
-    # E_c's alpha-hat: comparing s with 2 once raised 10**60 to a power
-    # of 6.7 * 10**11 and never returned
+    # E_c's alpha-hat, of denominator 6.7 * 10**11: comparing s with 2 must
+    # not raise anything to that power
     E = power_set(Fr(1, 2), 200)
+    alpha = Fr(660655392123, 672329544662)
     t0 = time.perf_counter()
-    tr = dyadic_thin(E, E.hull(), Fr(660655392123, 672329544662))
+    tr = dyadic_thin(E, E.hull(), alpha)
     assert time.perf_counter() - t0 < 1
-    assert not tr.stalled and cmp_ratio(tr.final_s.count, tr.final_s.length, 2, 1, tr.initial.alpha) <= 0
+    assert not tr.stalled and cmp_ratio(tr.final_s.count, tr.final_s.length, 2, 1, alpha) <= 0
 
 
 @pytest.mark.parametrize(
