@@ -20,7 +20,8 @@ The route is chosen from the value span and the pair count alone:
   the counters from ``shift`` on, and each factor (d, k) is then folded
   in, ``acc[x] <- sum of acc[x - j*d] over j < k``, by about log2(k)
   passes over the span;
-- sorted outer sum: the outer sums in one sort, counted run by run.
+- sorted outer sum: the outer sums in one sort, counted run by run, on
+  the narrowest unsigned offsets (below).
 
 The factors are peeled from E's offsets while one of the 8 smallest
 distinct gaps d gives k > 1, where k is the gcd of the lengths of the
@@ -38,8 +39,9 @@ Each route states its whole peak, working memory and result, to
 ``_refuse_over_budget``, the one check against the byte budget
 ``_BYTE_BUDGET`` (delta_exact's events use it too), which refuses with
 SizeGuardError before a grid-sized array exists.  Below a span of 2**62
-both are charged the operands' relative int64 copies (8 bytes per
-element, and a Python int more per element of an object operand); the
+both are charged the operands' relative copies at 8 bytes per element
+(int64, or the sorted route's unsigned offsets at their widest, uint64),
+and a Python int more per element of an object operand; the
 dense route also the factor peel, _FACTOR_BYTES per element of E (at
 least of one sample), and ``8 + 2c`` bytes per value of the span for
 c-byte counters, which the fold's copy of the counters fits within.
@@ -48,9 +50,15 @@ The dtype only picks the array type.  E and the floors of lam*F are
 int64 arrays, or object arrays of Python ints when they leave int64, and
 both routes run on either.  When the span is below _INT64_LIMIT, the
 routes work on the operands minus their first elements, which lie in
-[0, span), so big-integer grids of a narrow span run in int64 too, and
-the lowest value is added back at the end, in place on the route's own
-value array (converted to object dtype first when an operand was).
+[0, span), so big-integer grids of a narrow span run in fixed-width
+integers too: int64 for the dense route's indices and factor keys, and
+for the sorted route the smallest unsigned dtype holding span - 1, so
+that its outer sum, sort and run mask run at the data's own width (the
+cube sums of criterion 07 span below 2**32: uint32).  Its run lengths are
+written straight into the counts' dtype.  The route's distinct values
+are widened to int64 (object when an operand was) once, and the lowest
+value is added back in place on that array.  From a span of 2**62 on,
+the sorted route sums the operands themselves, in int64 or as Python ints.
 
 Two proven bounds keep the integer types exact.  Every count is at most
 |F|, because for a fixed b the value fixes a; counts are stored in the
@@ -96,23 +104,27 @@ def _positive(lam) -> Fraction:
     return lam
 
 
-def _runs(vals: np.ndarray, weights: Optional[np.ndarray] = None):
+def _runs(vals: np.ndarray, weights: Optional[np.ndarray] = None, dtype=np.int64):
     """(distinct values, run weights) of a sorted array.
 
-    Without weights each element counts once.
+    Without weights each element counts once, and the run lengths are
+    written straight into dtype, which must hold the longest run.
     """
     idx = np.flatnonzero(_run_starts(vals))
     if weights is None:
-        return vals[idx], np.diff(idx, append=len(vals))
+        lengths = np.empty(len(idx), dtype=dtype)
+        np.subtract(idx[1:], idx[:-1], out=lengths[:-1], casting="unsafe")
+        lengths[-1:] = len(vals) - idx[-1:]
+        return vals[idx], lengths
     # in the weights' dtype: reduceat would widen small unsigned ones
     return vals[idx], np.add.reduceat(weights, idx, dtype=weights.dtype)
 
 
-def _sorted_runs(vals: np.ndarray, weights: Optional[np.ndarray] = None):
+def _sorted_runs(vals: np.ndarray, weights: Optional[np.ndarray] = None, dtype=np.int64):
     """_runs of an unsorted array; sorts vals in place when unweighted."""
     if weights is None:
         vals.sort()
-        return _runs(vals)
+        return _runs(vals, dtype=dtype)
     order = np.argsort(vals, kind="stable")
     return _runs(vals[order], weights[order])
 
@@ -298,10 +310,11 @@ def _dense_histogram(xe, uf, mult, span, cdtype):
 
 
 def _sorted_histogram(xe, uf, mult, cdtype):
+    # the sums, their sort and run mask keep the operands' dtype; the
+    # weights (mult) already have the counters' dtype
     vals = (xe[:, None] + uf[None, :]).ravel()
     weights = None if mult is None else np.tile(mult, len(xe))
-    values, counts = _sorted_runs(vals, weights)
-    return values, counts.astype(cdtype, copy=False)
+    return _sorted_runs(vals, weights, cdtype)
 
 
 def grid_histogram(E: IntegerSet, F: IntegerSet, lam) -> tuple[np.ndarray, np.ndarray]:
@@ -343,20 +356,25 @@ def grid_histogram(E: IntegerSet, F: IntegerSet, lam) -> tuple[np.ndarray, np.nd
         _refuse_over_budget("grid histogram too large", span, "counters", per, hint, base)
     else:
         # one sort of an entry (value and count) per pair: three copies of
-        # each entry (sums, sorted gather, runs), the order and the run starts
+        # each entry (sums, sorted gather, runs), the order and the run
+        # starts; 8 bytes per value bounds the widest offsets, uint64
         per = 3 * (8 + cdtype.itemsize) + 16 + extra
         _refuse_over_budget("grid histogram too large", pairs, "pairs", per, hint, base)
     if not narrow:
         # sums of int64 operands stay in int64; object ones stay Python ints
         return _sorted_histogram(xe, uf, mult, cdtype)
-    # relative to their first elements, operands and sums lie in [0, span)
-    xe = (xe - xe[0]).astype(np.int64, copy=False)
-    uf = (uf - uf[0]).astype(np.int64, copy=False)
+    # relative to their first elements, operands and sums lie in [0, span):
+    # int64 for the dense route's indices and keys, the smallest unsigned
+    # dtype holding span - 1 for the sorted route's sums
+    odtype = np.int64 if dense else np.min_scalar_type(span - 1)
+    xe = (xe - xe[0]).astype(odtype, copy=False)
+    uf = (uf - uf[0]).astype(odtype, copy=False)
     if dense:
         values, counts = _dense_histogram(xe, uf, mult, span, cdtype)
     else:
         values, counts = _sorted_histogram(xe, uf, mult, cdtype)
-    # values is the route's own array (no operand's): shift it in place
+    # values is the route's own array (no operand's), widened to int64 or
+    # object once: shift it in place
     values = values.astype(dtype, copy=False)
     values += lo
     return values, counts

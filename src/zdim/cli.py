@@ -489,6 +489,7 @@ def cmd_sweep(args) -> int:
                 "energy": r.energy,
                 "cs_bound": frac_str(r.cs_bound),
                 "span": r.span,
+                "subsampled": r.subsampled,
             }
             for r in rep.records
         ],

@@ -809,6 +809,7 @@ class SweepRecord:
     energy: int
     cs_bound: Fraction
     span: int  # length of the interval the sum is confined to
+    subsampled: bool  # the dimension scan took a stride of endpoints
 
     @property
     def distinct(self) -> int:
@@ -898,6 +899,7 @@ def sweep(
                 col.energy,
                 col.cs_bound,
                 _sweep_span(I, J, lam),
+                dim.subsampled,
             )
             if best is None or rec.dimension > best.dimension:
                 best = rec

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import zdim.arithmetic as arith
 from zdim.arithmetic import (
@@ -66,10 +66,11 @@ def _dict_histogram(E, F, lam):
 
 @contextmanager
 def _routes_taken():
-    """Record which engine routes run, how many sorts the sorted route
-    makes, the progression factors and factor-free core the dense route
-    peels from E, and how many full factor tests it runs."""
-    taken = SimpleNamespace(routes=[], sorts=0, factors=[], cores=[], peels=0)
+    """Record which engine routes run, the dtype of the sorted route's
+    operand offsets and how many sorts it makes, the progression factors
+    and factor-free core the dense route peels from E, and how many full
+    factor tests it runs."""
+    taken = SimpleNamespace(routes=[], offsets=[], sorts=0, factors=[], cores=[], peels=0)
     saved = {name: getattr(arith, name) for name in
              ("_dense_histogram", "_sorted_histogram", "_sorted_runs",
               "_progression_factors", "_peel")}
@@ -77,6 +78,8 @@ def _routes_taken():
     def spy(name):
         def wrapper(*args):
             taken.routes.append(name)
+            if name == "_sorted_histogram":
+                taken.offsets.append(args[0].dtype)
             return saved[name](*args)
         return wrapper
 
@@ -132,6 +135,15 @@ def test_sumset_routes_agree():
         # a span of 2**62 or more: Python-int sums
         (wide, ["_sorted_histogram"]),
     ]
+    # at lam = 1, spans on each side of 2**8, 2**16 and 2**32, from
+    # negative values: offsets in uint8 | uint16, uint16 | uint32 and
+    # uint32 | uint64
+    pair = IntegerSet([0, 1], "01")
+    for edge in (2**8, 2**16, 2**32):
+        for span in (edge, edge + 1):
+            E = IntegerSet([0, 3, span - 2], f"span {span}").shift(-(10**6))
+            cases.append(((E, pair), ["_sorted_histogram"]))
+    seen = set()
     for (E, F), route in cases:
         for lam in (Fr(1), Fr(5, 2), Fr(1, 3)):  # 1/3: duplicate floors
             oracle = _dict_histogram(E, F, lam)
@@ -142,12 +154,21 @@ def test_sumset_routes_agree():
                 assert sum_scaled(E, F, lam).elements == tuple(oracle)
             assert taken.routes == route * 2
             # the sorted route makes one sort per grid, the dense route none
-            assert taken.sorts == 2 * (route == ["_sorted_histogram"])
+            sorted_route = route == ["_sorted_histogram"]
+            assert taken.sorts == 2 * sorted_route
+            # below a span of 2**62 it sums offsets in the smallest unsigned
+            # dtype holding span - 1, above it the operands themselves
+            span = max(oracle) - min(oracle) + 1
+            offsets = np.min_scalar_type(span - 1) if span < 2**62 else E._array().dtype
+            assert taken.offsets == [offsets] * 2 * sorted_route
+            seen.update(taken.offsets)
+            assert values.dtype == E._array().dtype
             assert dict(zip(values.tolist(), counts.tolist())) == oracle
             assert counts.dtype == np.min_scalar_type(len(F))
             # the values are shifted in place: never in an operand's memory
             for a, b in zip(operands, before):
                 assert np.array_equal(a, b) and not np.shares_memory(values, a)
+    assert seen >= {np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)}
 
 
 def test_grid_histogram_refuses_counters_over_budget(monkeypatch):
@@ -383,6 +404,63 @@ def test_grid_histogram_matches_dict(xs, ys, lam):
     assert counts.dtype == np.min_scalar_type(len(F)) and int(counts.max()) <= len(F)
     total = len(E) * len(F)
     assert grid_energy(counts, total) == sum(c * c for c in oracle.values())
+
+
+@pytest.mark.parametrize("n", [255, 256])
+def test_sorted_counts_fill_their_dtype(n):
+    # a sparse grid whose value n - 1 collects n pairs, written straight
+    # into the counts' dtype: the uint8 maximum, then one past it
+    E, F = IntegerSet([*range(n), 10**9], "runs"), IntegerSet(range(n), "f")
+    with _routes_taken() as taken:
+        values, counts = grid_histogram(E, F, 1)
+    assert taken.routes == ["_sorted_histogram"] and taken.offsets == [np.dtype(np.uint32)]
+    assert counts.dtype == np.min_scalar_type(n) and int(counts.max()) == n
+    assert dict(zip(values.tolist(), counts.tolist())) == _dict_histogram(E, F, 1)
+
+
+@st.composite
+def _sparse_grids(draw):
+    """(E, F, lam) of a grid whose span passes its pair count: F in
+    clusters of consecutive elements, which lam < 1 floors together, E
+    spread as widely, from negative values, often a singleton; the spread
+    puts the offsets in uint8 up to uint64.  E may be shifted to big
+    integers of a narrow span, or get one element 2**63 away: a span
+    past 2**62."""
+    spread = draw(st.sampled_from([1 << 5, 1 << 10, 1 << 20, 1 << 40]))
+    xs = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        xs = xs[:1]
+    ys = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3, unique=True))
+    width = draw(st.integers(1, 3))
+    es = [x * spread for x in xs]
+    if draw(st.integers(0, 3)) == 3:
+        es.append(max(es) + 2**63)
+    shift = draw(st.sampled_from([0, -37, 10**30]))
+    lam = draw(st.one_of(
+        st.fractions(min_value=Fr(1, 8), max_value=Fr(1), max_denominator=12),
+        st.fractions(min_value=Fr(1), max_value=Fr(4), max_denominator=12),
+    ))
+    E = IntegerSet([e + shift for e in es], "e")
+    return E, IntegerSet([y * spread + r for y in ys for r in range(width)], "f"), lam
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_grids())
+def test_sorted_route_matches_dict(grid):
+    E, F, lam = grid
+    oracle = _dict_histogram(E, F, lam)
+    assume(max(oracle) - min(oracle) + 1 > len(E) * len(F))  # else the dense route
+    operands = (E._array(), F._array())
+    before = [a.copy() for a in operands]
+    with _routes_taken() as taken:
+        values, counts = grid_histogram(E, F, lam)
+    assert taken.routes == ["_sorted_histogram"] and taken.sorts == 1
+    assert dict(zip(values.tolist(), counts.tolist())) == oracle
+    assert values.tolist() == list(oracle)
+    assert values.dtype in (np.dtype(np.int64), np.dtype(object))
+    assert counts.dtype == np.min_scalar_type(len(F))
+    for a, b in zip(operands, before):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_grid_energy_object_fallback():

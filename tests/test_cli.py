@@ -314,6 +314,23 @@ def test_sweep_reports_and_exit_codes(tmp_path, capsys):
     assert "degenerate" in err
 
 
+def test_sweep_records_say_when_their_scan_was_subsampled(tmp_path, capsys):
+    a = tmp_path / "a.zset"
+    run(capsys, "construct", "--kind", "power", "--alpha", "1/2", "--nmax", "60", "--out", str(a))
+    sweep = ("sweep", str(a), str(a), "--lambda-min", "1", "--lambda-max", "2",
+             "--samples", "3", "--seed", "3")
+    # at most 3600 sums, so a budget of 10**7 window pairs covers every scan
+    for budget, subsampled in (("1", True), (str(10**7), False)):
+        code, out, _ = run(capsys, *sweep, "--budget", budget)
+        assert code == 0
+        records = json.loads(out)["records"]
+        # one new field beside the others
+        assert [set(r) for r in records] == [{
+            "lambda", "dimension", "sum_size", "distinct", "energy", "cs_bound", "span",
+            "subsampled"}] * 3
+        assert [r["subsampled"] for r in records] == [subsampled] * 3
+
+
 def test_manifest_records_digests(tmp_path, capsys):
     a = tmp_path / "a.zset"
     man = tmp_path / "run.json"
